@@ -4,12 +4,9 @@
 # beat N fresh solvers with identical verdicts), the parallel
 # smoke benchmark (sharded -j2 run must agree with the sequential
 # session on every verdict, and beat it by >=1.3x when the machine
-# has at least 2 cores), the solver-ablation smoke benchmark
-# (all 2^4-grid corners must give identical verdicts; the all-on
-# speedup is additionally gated when the baseline suite is slow
-# enough for the ratio to be signal rather than timer noise, and the
-# restart-mode/rephasing strategy grid must agree with the feature
-# baseline everywhere), and
+# has at least 2 cores), the solver smoke benchmark (all four corners
+# of the restart-mode/rephasing strategy grid must give identical
+# verdicts), and
 # the certification smoke benchmark (every verdict of the enterprise
 # and fattree suites must carry a positive certificate — UNSAT proofs
 # replayed through the independent checker, SAT models evaluated and
@@ -25,9 +22,9 @@
 # with an explicit label, mirroring the parallel bench's
 # skipped_low_cores convention), and the arena smoke benchmark (the
 # SAT core's steady-state propagation loop must allocate ~0 minor
-# words per propagation, all-off and all-on must agree on the hardest
-# query with all-on at least 2x faster above a noise floor, and the
-# arena-compaction path must actually run under reduction stress),
+# words per propagation, a fresh solver and an incremental session
+# must agree on the hardest query, and the arena-compaction path must
+# actually run under reduction stress),
 # and the serve smoke benchmark (the delta daemon absorbing config
 # churn via core-disjoint verdict replay must agree with cold full
 # re-verification on every step, show non-zero replay and cache-hit

@@ -72,16 +72,13 @@ let render_text diags =
 
 (* Escaping lives in the shared Msutil.Json module so the lint
    diagnostics, the verification reports and the bench writers cannot
-   drift apart; these aliases keep the historical local names. *)
-let json_escape = Msutil.Json.escape
-let json_opt = Msutil.Json.opt
-
+   drift apart. *)
 let to_json d =
   Printf.sprintf
     "{\"code\":\"%s\",\"severity\":\"%s\",\"device\":%s,\"object\":%s,\"message\":\"%s\"}"
-    (json_escape d.code)
+    (Msutil.Json.escape d.code)
     (severity_to_string d.severity)
-    (json_opt d.device) (json_opt d.obj) (json_escape d.message)
+    (Msutil.Json.opt d.device) (Msutil.Json.opt d.obj) (Msutil.Json.escape d.message)
 
 let render_json diags =
   Printf.sprintf

@@ -645,7 +645,11 @@ and bgp_session_candidate t s =
                 (match Hashtbl.find_opt reach d with Some v -> v | None -> T.tru)
               | None -> T.tru
             end
-            else T.not_ (failed t d peer_name)
+            else if List.mem peer_name (internal_neighbors t d) then T.not_ (failed t d peer_name)
+            else
+              (* eBGP is single-hop: with no physical link to the peer
+                 the session never comes up, as in the simulator *)
+              T.fls
           in
           let pre =
             {

@@ -57,13 +57,10 @@ type t = {
       (** SAT search strategy (VSIDS decay, restart cadence, branching
           polarity) used by every solver created for this encoding.
           Any strategy yields the same verdicts; the portfolio engine
-          races the {!portfolio} variants on one hard query. *)
-  solver_features : Smt.Solver.features;
-      (** Solver-throughput optimizations (polarity-aware CNF, level-0
-          preprocessing, theory propagation, LBD clause management)
-          used by every solver created for this encoding.  Any
-          combination yields the same verdicts; [bench solver] ablates
-          them. *)
+          races the {!portfolio} variants on one hard query.  The
+          solver has no other knobs: it always runs theory propagation,
+          LBD clause management and full Tseitin CNF (see
+          {!Smt.Solver.create}). *)
   certify : bool;
       (** Certify every verdict independently: solvers record a
           DRAT-style proof trace, Unsat answers are replayed through the
@@ -98,7 +95,6 @@ let default =
       { Smt.Solver.default_strategy with
         Smt.Solver.restart_mode = Smt.Solver.Ema_lbd;
         rephase = true };
-    solver_features = Smt.Solver.default_features;
     certify = false;
   }
 
@@ -108,7 +104,6 @@ let with_failures k t = { t with max_failures = Some k }
 let with_symmetry t = { t with symmetry = true }
 let with_slicing t = { t with lint_slice = true }
 let with_strategy st t = { t with strategy = st }
-let with_features f t = { t with solver_features = f }
 let with_certify t = { t with certify = true }
 
 (* Named search-strategy variants for portfolio solving: very different

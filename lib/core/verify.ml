@@ -6,8 +6,7 @@ type outcome = Holds | Violation of Counterexample.t
 let solve_assertions enc (prop : Property.t) =
   let opts = Encode.options enc in
   let solver =
-    Solver.create ~certify:opts.Options.certify ~strategy:opts.Options.strategy
-      ~features:opts.Options.solver_features ()
+    Solver.create ~certify:opts.Options.certify ~strategy:opts.Options.strategy ()
   in
   List.iter (Solver.assert_term solver) (Encode.assertions enc);
   List.iter (Solver.assert_term solver) prop.Property.instrumentation;
@@ -142,11 +141,6 @@ module Report = struct
     if st.Solver.conflicts = 0 then 0.0
     else float_of_int st.Solver.decisions /. float_of_int st.Solver.conflicts
 
-  (* The one string-escaping implementation shared with the lint
-     diagnostics and the bench writers (Msutil.Json); the historical
-     name stays because the bench harness and CLI key on it. *)
-  let json_escape = Msutil.Json.escape
-
   (* One JSON object per report — the single renderer behind both the
      CLI's --format json and the bench harness. *)
   let to_json r =
@@ -154,9 +148,9 @@ module Report = struct
     Buffer.add_string buf
       (Printf.sprintf
          "{\"schema\":%d,\"label\":\"%s\",\"verdict\":\"%s\",\"wall_ms\":%.2f,\"worker\":%d"
-         schema_version (json_escape r.label) (verdict_name r.verdict) r.wall_ms r.worker);
+         schema_version (Msutil.Json.escape r.label) (verdict_name r.verdict) r.wall_ms r.worker);
     (match r.strategy with
-     | Some s -> Buffer.add_string buf (Printf.sprintf ",\"strategy\":\"%s\"" (json_escape s))
+     | Some s -> Buffer.add_string buf (Printf.sprintf ",\"strategy\":\"%s\"" (Msutil.Json.escape s))
      | None -> ());
     if r.replayed then Buffer.add_string buf ",\"replayed\":true";
     (match r.method_ with
@@ -166,10 +160,10 @@ module Report = struct
      | Some devs ->
        Buffer.add_string buf
          (Printf.sprintf ",\"support\":[%s]"
-            (String.concat "," (List.map (fun d -> "\"" ^ json_escape d ^ "\"") devs)))
+            (String.concat "," (List.map (fun d -> "\"" ^ Msutil.Json.escape d ^ "\"") devs)))
      | None -> ());
     (match r.verdict with
-     | Error e -> Buffer.add_string buf (Printf.sprintf ",\"error\":\"%s\"" (json_escape e))
+     | Error e -> Buffer.add_string buf (Printf.sprintf ",\"error\":\"%s\"" (Msutil.Json.escape e))
      | Violated cx ->
        Buffer.add_string buf
          (Printf.sprintf
@@ -179,7 +173,8 @@ module Report = struct
             cx.Counterexample.dst_port
             (String.concat ","
                (List.map
-                  (fun (a, b) -> Printf.sprintf "[\"%s\",\"%s\"]" (json_escape a) (json_escape b))
+                  (fun (a, b) ->
+                    Printf.sprintf "[\"%s\",\"%s\"]" (Msutil.Json.escape a) (Msutil.Json.escape b))
                   cx.Counterexample.failures))
             (List.length cx.Counterexample.announcements)
             (List.length cx.Counterexample.forwarding));
@@ -190,7 +185,7 @@ module Report = struct
                  (List.map
                     (fun (rep, members) ->
                       Printf.sprintf "{\"representative\":\"%s\",\"members\":%d}"
-                        (json_escape rep) (List.length members))
+                        (Msutil.Json.escape rep) (List.length members))
                     cx.Counterexample.classes)))
      | Verified | Timeout -> ());
     (match r.certificate with
@@ -205,7 +200,7 @@ module Report = struct
      | Certification_failed msg ->
        Buffer.add_string buf
          (Printf.sprintf ",\"certificate\":{\"status\":\"failed\",\"reason\":\"%s\"}"
-            (json_escape msg)));
+            (Msutil.Json.escape msg)));
     Buffer.add_string buf
       (Printf.sprintf
          ",\"stats\":{\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\"learned_clauses\":%d,\"restarts\":%d,\"ema_restarts\":%d,\"blocked_restarts\":%d,\"rephases\":%d,\"clauses_imported\":%d,\"clauses_exported\":%d,\"theory_propagations\":%d,\"preprocessed_clauses\":%d,\"lbd_reductions\":%d,\"decisions_per_conflict\":%.2f,\"arena_bytes\":%d,\"arena_compactions\":%d,\"minor_words\":%.0f}}"
@@ -320,17 +315,12 @@ module Session = struct
 
   type t = session
 
-  let of_encoding ?strategy ?features ?(support = false) enc =
+  let of_encoding ?strategy ?(support = false) enc =
     let opts = Encode.options enc in
     let strategy =
       match strategy with Some st -> st | None -> opts.Options.strategy
     in
-    let features =
-      match features with Some f -> f | None -> opts.Options.solver_features
-    in
-    let solver =
-      Solver.create ~incremental:true ~certify:opts.Options.certify ~strategy ~features ()
-    in
+    let solver = Solver.create ~incremental:true ~certify:opts.Options.certify ~strategy () in
     let guards =
       if not support then begin
         List.iter (Solver.assert_term solver) (Encode.assertions enc);

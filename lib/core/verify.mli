@@ -132,8 +132,6 @@ module Report : sig
       certification failure ([2] is reserved for usage and parse
       errors).  Violations dominate timeouts; certification failures
       dominate everything. *)
-
-  val json_escape : string -> string
 end
 
 val run_query : Encode.t -> Query.t -> Report.t
@@ -161,17 +159,10 @@ module Session : sig
   val create : ?support:bool -> Config.Ast.network -> Options.t -> t
   (** Build the encoding and assert the network semantics once. *)
 
-  val of_encoding :
-    ?strategy:Smt.Solver.strategy ->
-    ?features:Smt.Solver.features ->
-    ?support:bool ->
-    Encode.t ->
-    t
+  val of_encoding : ?strategy:Smt.Solver.strategy -> ?support:bool -> Encode.t -> t
   (** Start a session over an already-built encoding.  [strategy]
       overrides the encoding options' search strategy — the portfolio
       engine uses this to race variants over one shared encoding.
-      [features] overrides the encoding options' solver optimizations
-      (the solver bench uses this for its ablation grid).
 
       [support] (default [false]) turns on verdict-support tracking:
       each device's slice of the network assertions (see
@@ -179,10 +170,11 @@ module Session : sig
       assumption literal passed to every check, and a [Verified]
       report's [support] field names the devices whose guards appear in
       the solver's final-conflict core.  Verdicts are unchanged — the
-      guards are always all assumed true — but root-level simplification
-      of the network clauses is inhibited, so support tracking costs
-      some solve time; the serve daemon pays it to earn core-disjoint
-      delta re-verification. *)
+      guards are always all assumed true — but every guarded clause
+      carries its device's guard literal, so nothing it implies is a
+      root-level fact and learnt clauses carry the guards they depend
+      on.  Support tracking therefore costs some solve time; the serve
+      daemon pays it to earn core-disjoint delta re-verification. *)
 
   val encoding : t -> Encode.t
 

@@ -19,12 +19,10 @@
      yield a conflict;
    - [P_lemma] clauses are handed to the caller's theory callback for
      re-justification and rejected if it declines;
-   - [P_pure l] requires that no alive clause contains [lit_neg l]
-     (a width-0 RAT check);
    - [P_delete] must name a clause alive in the active set, compared as
      a sorted literal set, and kills one copy of it.
 
-   Root units (alive unit clauses and pure literals) are propagated
+   Root units (alive unit clauses) are propagated
    persistently; deletions never retract them, which is sound for
    refutation checking (the active set only shrinks, so any conflict
    derived remains derivable). *)
@@ -38,7 +36,6 @@ type summary = {
   inputs : int;
   rup_checked : int;
   lemmas_checked : int;
-  pures : int;
   deletions : int;
 }
 
@@ -268,18 +265,6 @@ let delete_clause t lits =
     in
     kill ids
 
-let pure_ok t l =
-  ensure_var t (lit_var l);
-  flush_root t;
-  t.root_conflict
-  ||
-  let o = t.occ.(lit_neg l) in
-  let impure = ref false in
-  for i = 0 to o.n - 1 do
-    if t.clauses.(o.a.(i)).alive then impure := true
-  done;
-  not !impure
-
 let check_goal t goal =
   flush_root t;
   if t.root_conflict then Ok ()
@@ -307,7 +292,6 @@ let run ?(theory = fun (_ : int array) -> Error "no theory checker provided") ~g
   let inputs = ref 0 in
   let rups = ref 0 in
   let lemmas = ref 0 in
-  let pures = ref 0 in
   let dels = ref 0 in
   let n = ref 0 in
   let err = ref None in
@@ -337,16 +321,6 @@ let run ?(theory = fun (_ : int array) -> Error "no theory checker provided") ~g
               Some
                 (Printf.sprintf "step %d: theory lemma %s rejected: %s" !n
                    (pp_clause lits) msg))
-        | Smt.Sat.P_pure l ->
-          if pure_ok t l then begin
-            incr pures;
-            add_clause t [| l |]
-          end
-          else
-            err :=
-              Some
-                (Printf.sprintf "step %d: literal %s is not pure in the active set" !n
-                   (pp_clause [| l |]))
         | Smt.Sat.P_delete lits ->
           (* propagate pending root units while the clause is still
              alive: the solver may have derived a persistent literal
@@ -374,6 +348,5 @@ let run ?(theory = fun (_ : int array) -> Error "no theory checker provided") ~g
           inputs = !inputs;
           rup_checked = !rups;
           lemmas_checked = !lemmas;
-          pures = !pures;
           deletions = !dels;
         })

@@ -11,8 +11,6 @@
       the clauses admitted so far;
     - [P_lemma] clauses are re-justified by the [theory] callback
       (typically a standalone theory-solver run, see {!Certify});
-    - [P_pure l] is accepted only when no alive clause contains the
-      negation of [l];
     - [P_delete] must name an alive clause (compared as a sorted
       literal set) and removes one copy.
 
@@ -32,7 +30,6 @@ type summary = {
   inputs : int;
   rup_checked : int;  (** derived clauses confirmed by propagation *)
   lemmas_checked : int;  (** theory lemmas re-justified *)
-  pures : int;
   deletions : int;
 }
 

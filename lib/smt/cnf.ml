@@ -9,14 +9,7 @@ type bit = Blit of int | Bconst of bool
 type t = {
   sat : Sat.t;
   true_lit : int;
-  pg : bool;
-      (* polarity-aware (Plaisted–Greenbaum) conversion: emit only the
-         implication direction(s) a definition is actually used under *)
   lit_memo : (int, int) Hashtbl.t;
-  pol_done : (int, int) Hashtbl.t;
-      (* term id -> bitmask of emitted directions (1 = positive
-         occurrence covered, 2 = negative); only And/Or definitions are
-         polarity-split, everything else is recorded as 3 *)
   int_vars : (int, int) Hashtbl.t;
   mutable int_var_list : (Term.t * int) list;
   mutable n_int_vars : int;
@@ -32,7 +25,7 @@ type t = {
   mutable bool_var_list : (Term.t * int) list;
 }
 
-let create ?(pg = true) ?(proof = false) () =
+let create ?(proof = false) () =
   let sat = Sat.create () in
   (* recording must start before the [true_lit] unit below: the trace's
      active set has to cover every clause the solver ever saw *)
@@ -43,9 +36,7 @@ let create ?(pg = true) ?(proof = false) () =
   {
     sat;
     true_lit;
-    pg;
     lit_memo = Hashtbl.create 4096;
-    pol_done = Hashtbl.create 4096;
     int_vars = Hashtbl.create 256;
     int_var_list = [];
     n_int_vars = 0;
@@ -232,68 +223,37 @@ let arith_atom_lit c ~strict a b =
 
 (* -- Tseitin ----------------------------------------------------------------- *)
 
-(* Polarity masks: bit 1 set = the literal occurs positively somewhere
-   (clauses [def -> parts] are needed), bit 2 = negatively ([parts ->
-   def]).  Plaisted–Greenbaum: emitting only the directions actually
-   used preserves equisatisfiability, and — because every model of the
-   reduced encoding satisfies the original formula — models restricted
-   to the original (non-auxiliary) variables stay exact.  Only And/Or
-   definitions are split; atoms, variables and bit-blasted gates are
-   full equivalences. *)
-
-let flip_mask m = ((m land 1) lsl 1) lor ((m lsr 1) land 1)
-
-let rec lit_of_pol c mask (t : Term.t) =
-  let mask = if c.pg then mask else 3 in
+(* Full Tseitin conversion: every And/Or definition is a biconditional,
+   so its literal may be used under either polarity afterwards (as an
+   assertion, a solve-time assumption or a retraction unit).  A
+   definition's variable is allocated and memoized before its children
+   are converted. *)
+let rec lit_of c (t : Term.t) =
   match t.node with
-  | Term.Not a -> Sat.lit_neg (lit_of_pol c (flip_mask mask) a)
-  | Term.Implies (a, b) -> lit_of_pol c mask (Term.or_ [ Term.not_ a; b ])
-  | Term.Iff (a, b) -> lit_of_pol c mask (Term.iff a b)
-  | Term.Ite (cond, a, b) -> lit_of_pol c mask (Term.ite cond a b)
-  | Term.And _ | Term.Or _ ->
-    let v =
-      match Hashtbl.find_opt c.lit_memo (Term.id t) with
-      | Some l -> l
-      | None ->
-        let l = fresh_lit c in
-        Hashtbl.replace c.lit_memo (Term.id t) l;
-        l
-    in
-    let emitted = try Hashtbl.find c.pol_done (Term.id t) with Not_found -> 0 in
-    let missing = mask land lnot emitted in
-    if missing <> 0 then begin
-      (* record before recursing: the term DAG is acyclic, but a child
-         conversion may reference this definition again *)
-      Hashtbl.replace c.pol_done (Term.id t) (emitted lor mask);
-      emit_dirs c missing t v
-    end;
-    v
-  | _ ->
-    (match Hashtbl.find_opt c.lit_memo (Term.id t) with
-     | Some l -> l
-     | None ->
-       let l = build_leaf c t in
-       Hashtbl.replace c.lit_memo (Term.id t) l;
-       Hashtbl.replace c.pol_done (Term.id t) 3;
-       l)
+  | Term.Not a -> Sat.lit_neg (lit_of c a)
+  | Term.Implies (a, b) -> lit_of c (Term.or_ [ Term.not_ a; b ])
+  | Term.Iff (a, b) -> lit_of c (Term.iff a b)
+  | Term.Ite (cond, a, b) -> lit_of c (Term.ite cond a b)
+  | _ -> (
+    match Hashtbl.find_opt c.lit_memo (Term.id t) with
+    | Some l -> l
+    | None ->
+      let l = match t.node with Term.And _ | Term.Or _ -> fresh_lit c | _ -> build_leaf c t in
+      Hashtbl.replace c.lit_memo (Term.id t) l;
+      define c t l;
+      l)
 
-(* In both directions of an And definition the children occur with the
-   same polarity as the definition itself (positively in the [¬v ∨ l_i]
-   clauses, negatively in [v ∨ ¬l_1 ∨ …]); dually for Or.  So the
-   missing mask propagates to the children unchanged. *)
-and emit_dirs c missing (t : Term.t) v =
+and define c (t : Term.t) v =
   match t.node with
   | Term.And conj ->
-    let lits = List.map (lit_of_pol c missing) conj in
-    if missing land 1 <> 0 then
-      List.iter (fun l -> Sat.add_clause c.sat [ Sat.lit_neg v; l ]) lits;
-    if missing land 2 <> 0 then Sat.add_clause c.sat (v :: List.map Sat.lit_neg lits)
+    let lits = List.map (lit_of c) conj in
+    List.iter (fun l -> Sat.add_clause c.sat [ Sat.lit_neg v; l ]) lits;
+    Sat.add_clause c.sat (v :: List.map Sat.lit_neg lits)
   | Term.Or disj ->
-    let lits = List.map (lit_of_pol c missing) disj in
-    if missing land 2 <> 0 then
-      List.iter (fun l -> Sat.add_clause c.sat [ v; Sat.lit_neg l ]) lits;
-    if missing land 1 <> 0 then Sat.add_clause c.sat (Sat.lit_neg v :: lits)
-  | _ -> assert false
+    let lits = List.map (lit_of c) disj in
+    List.iter (fun l -> Sat.add_clause c.sat [ v; Sat.lit_neg l ]) lits;
+    Sat.add_clause c.sat (Sat.lit_neg v :: lits)
+  | _ -> ()
 
 and build_leaf c (t : Term.t) =
   match t.node with
@@ -324,7 +284,7 @@ and build_leaf c (t : Term.t) =
    and return the negation of the overflow register.  The gates are full
    equivalences, so the result is sound under both polarities. *)
 and at_most_lit c k ts =
-  let inputs = List.map (fun t -> Blit (lit_of_pol c 3 t)) ts in
+  let inputs = List.map (fun t -> Blit (lit_of c t)) ts in
   let regs = Array.make (k + 1) (Bconst false) in
   List.iter
     (fun x ->
@@ -335,29 +295,21 @@ and at_most_lit c k ts =
     inputs;
   bit_to_lit c (bit_neg c regs.(k))
 
-(* The public conversion covers both directions: callers may use the
-   literal under either polarity afterwards (e.g. as a solve-time
-   assumption or a retraction unit). *)
-let lit_of c t = lit_of_pol c 3 t
-
 let rec assert_term c (t : Term.t) =
   match t.node with
   | Term.True -> ()
   | Term.False -> Sat.add_clause c.sat []
   | Term.And conj -> List.iter (assert_term c) conj
-  | Term.Or disj -> Sat.add_clause c.sat (List.map (lit_of_pol c 1) disj)
-  | _ -> Sat.add_clause c.sat [ lit_of_pol c 1 t ]
+  | Term.Or disj -> Sat.add_clause c.sat (List.map (lit_of c) disj)
+  | _ -> Sat.add_clause c.sat [ lit_of c t ]
 
 let assert_implied c ~guard t =
-  (* The guard is negated here but later assumed positively (activation)
-     and possibly retired by a unit [¬g]: convert it under both
-     polarities.  The asserted body occurs positively only. *)
   let g = Sat.lit_neg (lit_of c guard) in
   let rec go (t : Term.t) =
     match t.node with
     | Term.True -> ()
     | Term.And conj -> List.iter go conj
-    | Term.Or disj -> Sat.add_clause c.sat (g :: List.map (lit_of_pol c 1) disj)
-    | _ -> Sat.add_clause c.sat [ g; lit_of_pol c 1 t ]
+    | Term.Or disj -> Sat.add_clause c.sat (g :: List.map (lit_of c) disj)
+    | _ -> Sat.add_clause c.sat [ g; lit_of c t ]
   in
   go t

@@ -9,14 +9,9 @@
 
     Cardinality constraints ([Term.at_most]) are expanded with the
     sequential-counter encoding using fresh variables and full
-    equivalences, so they are sound under both polarities.
-
-    By default the conversion is polarity-aware (Plaisted–Greenbaum):
-    an And/Or definition only emits the implication direction(s) it is
-    actually used under, halving the clauses for single-polarity
-    subformulas.  Models of the reduced encoding satisfy the original
-    formula, so model extraction is unchanged; [create ~pg:false]
-    restores full biconditional Tseitin. *)
+    equivalences, so they are sound under both polarities.  And/Or
+    definitions are full biconditionals as well (plain Tseitin), so a
+    converted literal may be used under either polarity. *)
 
 type t
 
@@ -32,11 +27,9 @@ type rat_atom = {
   rstrict : bool;
 }
 
-val create : ?pg:bool -> ?proof:bool -> unit -> t
-(** [create ()] uses polarity-aware conversion; [~pg:false] emits full
-    equivalences for every definition.  [~proof:true] turns on DRAT
-    trace recording in the underlying solver before the first clause is
-    emitted (see {!Sat.enable_proof}). *)
+val create : ?proof:bool -> unit -> t
+(** [~proof:true] turns on DRAT trace recording in the underlying
+    solver before the first clause is emitted (see {!Sat.enable_proof}). *)
 
 val sat : t -> Sat.t
 

@@ -64,19 +64,16 @@ exception Canceled
    order its watches left them):
    - [P_input]  original clause, admitted without justification;
    - [P_rup]    derived clause; checkable by reverse unit propagation
-                over the active set (learnt clauses, strengthenings,
-                stripped inputs, assumption-core negations; [P_rup [||]]
-                is the refutation);
+                over the active set (learnt clauses, stripped inputs
+                and lemmas, assumption-core negations; [P_rup [||]] is
+                the refutation);
    - [P_lemma]  theory lemma integrated mid-search; justified by
                 re-running a standalone theory solver, not by RUP;
-   - [P_pure]   pure-literal unit: sound because no active clause
-                contains the negation (a RAT step of width 0);
    - [P_delete] removal of a clause currently in the active set. *)
 type proof_step =
   | P_input of int array
   | P_rup of int array
   | P_lemma of int array
-  | P_pure of int
   | P_delete of int array
 
 type t = {
@@ -86,10 +83,6 @@ type t = {
   mutable reason : int array;  (* cref, or -1 for decisions/units *)
   mutable phase : bool array;
   mutable seen : bool array;
-  mutable frozen : bool array;
-      (* variables pure-literal elimination must never touch: theory
-         atoms (constrained outside the clause database) and assumption
-         literals (decided by the caller, in either phase) *)
   mutable important : bool array;
       (* variables whose assignment gates early-SAT detection (theory
          atoms): once all of them are assigned and every problem clause
@@ -104,7 +97,7 @@ type t = {
   (* -- the clause arena -- *)
   mutable arena : int array;
   mutable asize : int;  (* words used, including dead slices *)
-  mutable awasted : int;  (* words in deleted or shrunk-away slices *)
+  mutable awasted : int;  (* words in deleted slices *)
   mutable compactions : int;
   clauses : int Vec.t;  (* crefs of problem clauses *)
   learnts : int Vec.t;  (* crefs of learnt clauses *)
@@ -131,18 +124,12 @@ type t = {
   mutable strategy : strategy;
   mutable stop : (unit -> bool) option;
       (* cooperative cancellation: polled periodically during solve *)
-  (* -- optimization switches (all off by default: the raw SAT API keeps
-        its historical behavior; Smt.Solver flips them per feature) -- *)
-  mutable simplify_enabled : bool;
-  mutable pure_elim_enabled : bool;
-  mutable lbd_enabled : bool;
+  (* -- early-SAT detection (off by default: the raw SAT API only
+        calls [final_check] on total assignments; Smt.Solver turns it
+        on) -- *)
   mutable early_sat_enabled : bool;
-  (* -- preprocessing / early-SAT bookkeeping -- *)
   mutable n_important : int;
   mutable important_assigned : int;
-  mutable simp_clauses : int;  (* database size at the last simplify pass *)
-  mutable simp_trail : int;  (* root trail size at the last simplify pass *)
-  mutable preprocessed : int;  (* clauses removed or strengthened at level 0 *)
   mutable lbd_deletions : int;  (* learnt clauses dropped by LBD-scored reduction *)
   mutable early_sats : int;  (* Sat answers concluded on a partial assignment *)
   mutable scan_backoff : int;  (* conflicts+decisions to wait after a failed scan *)
@@ -202,7 +189,6 @@ let create () =
     reason = Array.make 16 (-1);
     phase = Array.make 16 false;
     seen = Array.make 16 false;
-    frozen = Array.make 16 false;
     important = Array.make 16 false;
     activity = Array.make 16 0.0;
     heap_pos = Array.make 16 (-1);
@@ -231,15 +217,9 @@ let create () =
     on_backtrack = (fun (_ : int) -> ());
     strategy = default_strategy;
     stop = None;
-    simplify_enabled = false;
-    pure_elim_enabled = false;
-    lbd_enabled = false;
     early_sat_enabled = false;
     n_important = 0;
     important_assigned = 0;
-    simp_clauses = -1;
-    simp_trail = -1;
-    preprocessed = 0;
     lbd_deletions = 0;
     early_sats = 0;
     scan_backoff = 16;
@@ -296,9 +276,6 @@ let drain_exports s =
   s.exported <- s.exported + List.length out;
   out
 let set_max_learnts s n = s.max_learnts <- float_of_int n
-let set_simplify s b = s.simplify_enabled <- b
-let set_pure_elim s b = s.pure_elim_enabled <- b
-let set_lbd s b = s.lbd_enabled <- b
 let set_early_sat s b = s.early_sat_enabled <- b
 
 let nvars s = s.nvars
@@ -308,7 +285,6 @@ let num_propagations s = s.propagations
 let num_clauses s = Vec.size s.clauses
 let num_restarts s = s.restarts
 let num_learnts s = s.learnts_made
-let num_preprocessed s = s.preprocessed
 let num_lbd_deletions s = s.lbd_deletions
 let num_early_sats s = s.early_sats
 let num_compactions s = s.compactions
@@ -329,7 +305,7 @@ let c_learnt s c = s.arena.(c) land 1 = 1
 let c_deleted s c = s.arena.(c) land 2 <> 0
 let c_lit s c k = s.arena.(c + header_words + k)
 let c_lbd s c = s.arena.(c + 2)
-let c_set_lbd s c g = s.arena.(c + 2) <- g
+let c_set_glue s c g = s.arena.(c + 2) <- g
 
 (* a fresh copy of the literal slice (proof logging, checker hand-off) *)
 let clause_lits s c = Array.init (c_size s c) (fun k -> s.arena.(c + header_words + k))
@@ -341,15 +317,6 @@ let c_delete s c =
   end
 
 let log_delete s c = if s.proof_on then log_step s (P_delete (clause_lits s c))
-
-(* shrink the slice in place to its first [n] literals (level-0
-   strengthening); the tail words become arena garbage until compaction *)
-let c_shrink s c n =
-  let old = c_size s c in
-  if n < old then begin
-    s.awasted <- s.awasted + (old - n);
-    s.arena.(c) <- (n lsl 3) lor (s.arena.(c) land 7)
-  end
 
 let arena_ensure s n =
   if n > Array.length s.arena then begin
@@ -443,7 +410,6 @@ let new_var s =
   s.phase <- grow_array s.phase s.nvars false;
   s.best_phase <- grow_array s.best_phase s.nvars false;
   s.seen <- grow_array s.seen s.nvars false;
-  s.frozen <- grow_array s.frozen s.nvars false;
   s.important <- grow_array s.important s.nvars false;
   s.activity <- grow_array s.activity s.nvars 0.0;
   s.heap_pos <- grow_array s.heap_pos s.nvars (-1);
@@ -461,8 +427,6 @@ let new_var s =
   s.best_phase.(v) <- s.strategy.default_phase;
   heap_insert s v;
   v
-
-let freeze_var s v = s.frozen.(v) <- true
 
 let mark_important s v =
   if not s.important.(v) then begin
@@ -698,8 +662,8 @@ let propagate s =
    with the relocated bit set and its new cref in the activity word, so
    any reference order works; references to deleted clauses are dropped
    (watchers) or must not exist (reasons, clause lists filter first).
-   Safe whenever no cref is held in a local across the call — callers
-   are the level-boundary points of [solve] and [simplify]. *)
+   Safe whenever no cref is held in a local across the call — the
+   caller is [reduce_db], run between search decisions. *)
 let compact s =
   let live = s.asize - s.awasted in
   let cap = ref 1024 in
@@ -750,8 +714,8 @@ let compact s =
     Vec.shrink ws !j
   done;
   (* reasons of assigned variables (a deleted reason cannot happen —
-     reduce_db skips locked clauses and simplify clears root reasons —
-     but a stale one must not survive relocation either way) *)
+     reduce_db skips locked clauses — but a stale one must not survive
+     relocation either way) *)
   for i = 0 to Vec.size s.trail - 1 do
     let v = lit_var (Vec.get s.trail i) in
     let r = s.reason.(v) in
@@ -770,331 +734,12 @@ let compact s =
 let maybe_compact s =
   if s.awasted > 4096 && s.awasted * 4 > s.asize then compact s
 
-(* -- level-0 preprocessing ------------------------------------------------- *)
-
-(* One pass over the clause database at decision level 0, run from the
-   top of [solve] when [simplify_enabled]:
-     1. root unit propagation to fixpoint;
-     2. removal of satisfied clauses and stripping of root-false
-        literals (problem and learnt clauses alike);
-     3. forward subsumption and self-subsuming resolution over the
-        problem clauses;
-     4. pure-literal elimination ([pure_elim_enabled] only), skipping
-        frozen variables — the pure polarity is asserted at level 0, so
-        models stay exact with no separate reconstruction step.
-   Every transformation is applied at level 0 and watches are rebuilt
-   afterwards, so no search state can dangle.  The pass is skipped when
-   the database and root trail are unchanged since the last run. *)
-
-let clause_satisfied_root s c =
-  let n = c_size s c in
-  let sat = ref false in
-  for k = 0 to n - 1 do
-    if lit_value s (c_lit s c k) = 1 then sat := true
-  done;
-  !sat
-
-let clause_has_false_root s c =
-  let n = c_size s c in
-  let f = ref false in
-  for k = 0 to n - 1 do
-    if lit_value s (c_lit s c k) = -1 then f := true
-  done;
-  !f
-
-let clean_clause_vec s vec =
-  let changed = ref false in
-  Vec.iter
-    (fun c ->
-      if not (c_deleted s c) then begin
-        if clause_satisfied_root s c then begin
-          log_delete s c;
-          c_delete s c;
-          s.preprocessed <- s.preprocessed + 1;
-          changed := true
-        end
-        else if clause_has_false_root s c then begin
-          let live =
-            Array.of_list
-              (List.filter (fun l -> lit_value s l <> -1) (Array.to_list (clause_lits s c)))
-          in
-          s.preprocessed <- s.preprocessed + 1;
-          changed := true;
-          match Array.length live with
-          | 0 ->
-            s.ok <- false;
-            log_step s (P_rup [||])
-          | 1 ->
-            log_step s (P_rup (Array.copy live));
-            log_delete s c;
-            enqueue s live.(0) (-1);
-            c_delete s c
-          | n ->
-            log_step s (P_rup (Array.copy live));
-            log_delete s c;
-            Array.blit live 0 s.arena (c + header_words) n;
-            c_shrink s c n
-        end
-      end)
-    vec;
-  !changed
-
-(* in-place insertion sort of a clause's literal slice (clauses are
-   small; the subsumption pass needs them sorted and the watches are
-   rebuilt afterwards, so reordering is safe at level 0) *)
-let sort_clause_lits s c =
-  let base = c + header_words in
-  let n = c_size s c in
-  for k = 1 to n - 1 do
-    let x = s.arena.(base + k) in
-    let j = ref (k - 1) in
-    while !j >= 0 && s.arena.(base + !j) > x do
-      s.arena.(base + !j + 1) <- s.arena.(base + !j);
-      decr j
-    done;
-    s.arena.(base + !j + 1) <- x
-  done
-
-let clause_sig s c =
-  let acc = ref 0 in
-  for k = 0 to c_size s c - 1 do
-    acc := !acc lor (1 lsl (c_lit s c k mod 62))
-  done;
-  !acc
-
-(* both clause slices sorted ascending: is every literal of [c] in [d]? *)
-let subset_sorted s c d =
-  let na = c_size s c and nb = c_size s d in
-  let i = ref 0 and j = ref 0 in
-  while !i < na && !j < nb do
-    let a = c_lit s c !i and b = c_lit s d !j in
-    if a = b then begin
-      incr i;
-      incr j
-    end
-    else if a > b then incr j
-    else i := na + 1
-  done;
-  !i = na
-
-(* does C strengthen D by resolving on [l], i.e. (C \ {l}) ∪ {¬l} ⊆ D?
-   Clauses are small, so a sorted scratch copy per candidate is cheap. *)
-let strengthens s c l d =
-  let a = Array.map (fun x -> if x = l then lit_neg l else x) (clause_lits s c) in
-  Array.sort compare a;
-  let na = Array.length a and nb = c_size s d in
-  let i = ref 0 and j = ref 0 in
-  while !i < na && !j < nb do
-    let b = c_lit s d !j in
-    if a.(!i) = b then begin
-      incr i;
-      incr j
-    end
-    else if a.(!i) > b then incr j
-    else i := na + 1
-  done;
-  !i = na
-
-let subsume_pass s =
-  let changed = ref false in
-  (* Live problem clauses, literal slices sorted (watches are rebuilt
-     after the pass, and no clause is a reason at level 0). *)
-  let live = ref [] in
-  Vec.iter (fun c -> if not (c_deleted s c) then live := c :: !live) s.clauses;
-  let cs = Array.of_list !live in
-  Array.iter (fun c -> sort_clause_lits s c) cs;
-  let sigs = Array.map (fun c -> clause_sig s c) cs in
-  let occ = Array.make (2 * s.nvars) [] in
-  Array.iteri
-    (fun i c ->
-      for k = 0 to c_size s c - 1 do
-        let l = c_lit s c k in
-        occ.(l) <- i :: occ.(l)
-      done)
-    cs;
-  let order = Array.init (Array.length cs) (fun i -> i) in
-  Array.sort (fun a b -> compare (c_size s cs.(a)) (c_size s cs.(b))) order;
-  (* forward subsumption: short clauses kill the longer ones they imply *)
-  Array.iter
-    (fun i ->
-      let c = cs.(i) in
-      if not (c_deleted s c) then begin
-        let best = ref (c_lit s c 0) in
-        for k = 1 to c_size s c - 1 do
-          let l = c_lit s c k in
-          if List.length occ.(l) < List.length occ.(!best) then best := l
-        done;
-        if List.length occ.(!best) <= 1000 then
-          List.iter
-            (fun j ->
-              let d = cs.(j) in
-              if j <> i && (not (c_deleted s d))
-                 && c_size s d >= c_size s c
-                 && sigs.(i) land lnot sigs.(j) = 0
-                 && subset_sorted s c d
-              then begin
-                log_delete s d;
-                c_delete s d;
-                s.preprocessed <- s.preprocessed + 1;
-                changed := true
-              end)
-            occ.(!best)
-      end)
-    order;
-  (* self-subsuming resolution: C with l and D with ¬l, C \ {l} ⊆ D \ {¬l}:
-     the resolvent C\{l} ∨ D\{¬l} = D \ {¬l} replaces D *)
-  Array.iteri
-    (fun i c ->
-      if (not (c_deleted s c)) && c_size s c <= 20 then
-        for ki = 0 to c_size s c - 1 do
-          let l = c_lit s c ki in
-          let nl = lit_neg l in
-          if nl < Array.length occ && List.length occ.(nl) <= 1000 then
-            List.iter
-              (fun j ->
-                let d = cs.(j) in
-                if j <> i && (not (c_deleted s d))
-                   && c_size s d >= c_size s c
-                   && sigs.(i) land lnot (sigs.(j) lor (1 lsl (l mod 62))) = 0
-                   && strengthens s c l d
-                then begin
-                  let live =
-                    Array.of_list
-                      (List.filter (fun x -> x <> nl) (Array.to_list (clause_lits s d)))
-                  in
-                  log_step s (P_rup (Array.copy live));
-                  log_delete s d;
-                  s.preprocessed <- s.preprocessed + 1;
-                  changed := true;
-                  sigs.(j) <- Array.fold_left (fun acc x -> acc lor (1 lsl (x mod 62))) 0 live;
-                  if Array.length live = 1 then begin
-                    (if lit_value s live.(0) = 0 then enqueue s live.(0) (-1)
-                     else if lit_value s live.(0) = -1 then begin
-                       s.ok <- false;
-                       log_step s (P_rup [||])
-                     end);
-                    c_delete s d
-                  end
-                  else begin
-                    Array.blit live 0 s.arena (d + header_words) (Array.length live);
-                    c_shrink s d (Array.length live)
-                  end
-                end)
-              occ.(nl)
-        done)
-    cs;
-  !changed
-
-let pure_literal_pass s =
-  let pos = Array.make s.nvars false and neg = Array.make s.nvars false in
-  Vec.iter
-    (fun c ->
-      if not (c_deleted s c) then
-        for k = 0 to c_size s c - 1 do
-          let l = c_lit s c k in
-          if lit_sign l then pos.(lit_var l) <- true else neg.(lit_var l) <- true
-        done)
-    s.clauses;
-  let changed = ref false in
-  for v = 0 to s.nvars - 1 do
-    if s.assign.(v) = 0 && (not s.frozen.(v)) && pos.(v) <> neg.(v) then begin
-      (* [v] occurs in live problem clauses with a single polarity, is
-         not a theory atom and cannot be assumed: fixing it to its pure
-         polarity preserves satisfiability, and the level-0 assignment
-         keeps the model exact. *)
-      let l = if pos.(v) then pos_lit v else neg_lit v in
-      log_step s (P_pure l);
-      enqueue s l (-1);
-      changed := true
-    end
-  done;
-  !changed
-
-let compact_clause_vec s vec =
-  let j = ref 0 in
-  for i = 0 to Vec.size vec - 1 do
-    let c = Vec.get vec i in
-    if not (c_deleted s c) then begin
-      Vec.set vec !j c;
-      incr j
-    end
-  done;
-  Vec.shrink vec !j
-
-let rebuild_watches s =
-  for l = 0 to (2 * s.nvars) - 1 do
-    Vec.clear s.watches.(l)
-  done;
-  Vec.iter (fun c -> attach s c) s.clauses;
-  Vec.iter (fun c -> attach s c) s.learnts
-
-let simplify s =
-  if s.ok && decision_level s = 0 then begin
-    (if propagate s >= 0 then begin
-       s.ok <- false;
-       log_step s (P_rup [||])
-     end);
-    if s.ok
-       && (Vec.size s.clauses + Vec.size s.learnts <> s.simp_clauses
-          || Vec.size s.trail <> s.simp_trail)
-    then begin
-      (* Facts need no justification; clearing root reasons frees every
-         clause for restructuring. *)
-      for i = 0 to Vec.size s.trail - 1 do
-        s.reason.(lit_var (Vec.get s.trail i)) <- -1
-      done;
-      let rounds = ref 0 in
-      let changed = ref true in
-      while s.ok && !changed && !rounds < 3 do
-        incr rounds;
-        changed := false;
-        if clean_clause_vec s s.clauses then changed := true;
-        if clean_clause_vec s s.learnts then changed := true;
-        if s.ok && subsume_pass s then changed := true;
-        if s.ok && s.pure_elim_enabled && pure_literal_pass s then changed := true;
-        if s.ok && s.qhead < Vec.size s.trail then begin
-          (* Units found above have not propagated through the (stale)
-             watches; rebuild them first, then run to fixpoint. *)
-          compact_clause_vec s s.clauses;
-          compact_clause_vec s s.learnts;
-          rebuild_watches s;
-          (if propagate s >= 0 then begin
-             s.ok <- false;
-             log_step s (P_rup [||])
-           end);
-          changed := true
-        end
-      done;
-      compact_clause_vec s s.clauses;
-      compact_clause_vec s s.learnts;
-      maybe_compact s;
-      rebuild_watches s;
-      s.scan_cursor <- -1;
-      s.simp_clauses <- Vec.size s.clauses + Vec.size s.learnts;
-      s.simp_trail <- Vec.size s.trail
-    end
-  end
-
 (* -- conflict analysis (first UIP) ----------------------------------------- *)
 
 let reason_exn s v =
   let r = s.reason.(v) in
   assert (r >= 0);
   r
-
-(* [q] is redundant in the learnt clause if its reason's antecedents are all
-   already in the clause (seen) or fixed at level 0: local minimization. *)
-let lit_redundant s q =
-  let r = s.reason.(lit_var q) in
-  if r < 0 then false
-  else begin
-    let ok = ref true in
-    for k = 1 to c_size s r - 1 do
-      let v = lit_var (c_lit s r k) in
-      if not s.seen.(v) && s.level.(v) > 0 then ok := false
-    done;
-    !ok
-  end
 
 (* Recursive (MiniSat-exact) minimization: [q] is redundant if every
    path from its reason bottoms out in clause literals or level-0 facts.
@@ -1151,9 +796,9 @@ let analyze s confl =
          in a new conflict gets its glue recomputed against the current
          levels — clauses that keep proving useful migrate towards the
          protected end of [reduce_db]. *)
-      if s.lbd_enabled && c_lbd s !c > 2 then begin
+      if c_lbd s !c > 2 then begin
         let l = compute_lbd s (Array.to_list (clause_lits s !c)) in
-        if l < c_lbd s !c then c_set_lbd s !c l
+        if l < c_lbd s !c then c_set_glue s !c l
       end
     end;
     let start = if !p = -1 then 0 else 1 in
@@ -1175,18 +820,12 @@ let analyze s confl =
     decr path;
     if !path > 0 then c := reason_exn s (lit_var !p) else expanding := false
   done;
-  let tail =
-    if s.lbd_enabled then begin
-      let abstract_levels =
-        List.fold_left (fun acc q -> acc lor abstract_level s (lit_var q)) 0 !learnt
-      in
-      let extra = ref [] in
-      let t = List.filter (fun q -> not (lit_redundant_rec s abstract_levels extra q)) !learnt in
-      List.iter (fun v -> s.seen.(v) <- false) !extra;
-      t
-    end
-    else List.filter (fun q -> not (lit_redundant s q)) !learnt
+  let abstract_levels =
+    List.fold_left (fun acc q -> acc lor abstract_level s (lit_var q)) 0 !learnt
   in
+  let extra = ref [] in
+  let tail = List.filter (fun q -> not (lit_redundant_rec s abstract_levels extra q)) !learnt in
+  List.iter (fun v -> s.seen.(v) <- false) !extra;
   List.iter (fun q -> s.seen.(lit_var q) <- false) !learnt;
   let asserting = lit_neg !p in
   (* Backjump level: highest level among the tail. *)
@@ -1209,48 +848,29 @@ let analyze s confl =
 let locked s c = c_size s c > 0 && s.reason.(lit_var (c_lit s c 0)) = c
 
 let reduce_db s =
-  if s.lbd_enabled then begin
-    (* Glue-aware reduction: delete the worse half by (high LBD, low
-       activity), never touching locked, binary or glue (lbd <= 2)
-       clauses — they encode the tight dependencies of the search. *)
-    Vec.sort_in_place
-      (fun a b ->
-        if c_lbd s a <> c_lbd s b then compare (c_lbd s b) (c_lbd s a)
-        else compare s.arena.(a + 1) s.arena.(b + 1))
-      s.learnts;
-    let n = Vec.size s.learnts in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      let c = Vec.get s.learnts i in
-      if i < n / 2 && (not (locked s c)) && c_size s c > 2 && c_lbd s c > 2 then begin
-        log_delete s c;
-        c_delete s c;
-        s.lbd_deletions <- s.lbd_deletions + 1
-      end
-      else begin
-        Vec.set s.learnts !j c;
-        incr j
-      end
-    done;
-    Vec.shrink s.learnts !j
-  end
-  else begin
-    Vec.sort_in_place (fun a b -> compare s.arena.(a + 1) s.arena.(b + 1)) s.learnts;
-    let n = Vec.size s.learnts in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      let c = Vec.get s.learnts i in
-      if i < n / 2 && (not (locked s c)) && c_size s c > 2 then begin
-        log_delete s c;
-        c_delete s c
-      end
-      else begin
-        Vec.set s.learnts !j c;
-        incr j
-      end
-    done;
-    Vec.shrink s.learnts !j
-  end;
+  (* Glue-aware reduction: delete the worse half by (high LBD, low
+     activity), never touching locked, binary or glue (lbd <= 2)
+     clauses — they encode the tight dependencies of the search. *)
+  Vec.sort_in_place
+    (fun a b ->
+      if c_lbd s a <> c_lbd s b then compare (c_lbd s b) (c_lbd s a)
+      else compare s.arena.(a + 1) s.arena.(b + 1))
+    s.learnts;
+  let n = Vec.size s.learnts in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    let c = Vec.get s.learnts i in
+    if i < n / 2 && (not (locked s c)) && c_size s c > 2 && c_lbd s c > 2 then begin
+      log_delete s c;
+      c_delete s c;
+      s.lbd_deletions <- s.lbd_deletions + 1
+    end
+    else begin
+      Vec.set s.learnts !j c;
+      incr j
+    end
+  done;
+  Vec.shrink s.learnts !j;
   maybe_compact s
 
 (* Integrate a theory-learned clause at the current state without
@@ -1288,7 +908,7 @@ let integrate_core s lits =
     in
     let alloc_attached () =
       let c = alloc_clause s arr true in
-      c_set_lbd s c (Array.length arr);
+      c_set_glue s c (Array.length arr);
       Vec.push s.learnts c;
       attach s c;
       c
@@ -1521,7 +1141,6 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
   cancel_until s 0;
   s.core <- [];
   poll_stop s;
-  if s.simplify_enabled then simplify s;
   s.scan_backoff <- 16;
   s.next_scan_work <- 0;
   s.scan_cursor <- -1;
@@ -1591,7 +1210,7 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
          | [ l ] -> enqueue s l (-1)
          | l :: _ ->
            let c = alloc_clause s (Array.of_list learnt) true in
-           c_set_lbd s c glue;
+           c_set_glue s c glue;
            cla_bump s c;
            s.learnts_made <- s.learnts_made + 1;
            Vec.push s.learnts c;

@@ -1,6 +1,7 @@
-(** A CDCL SAT solver (two-watched literals, VSIDS, 1UIP learning,
-    Luby restarts, activity-based learnt-clause deletion), solvable
-    incrementally under assumptions (MiniSat style).
+(** A CDCL SAT solver (two-watched literals, VSIDS, 1UIP learning with
+    recursive clause minimization, Luby or LBD-driven restarts,
+    LBD-scored learnt-clause deletion), solvable incrementally under
+    assumptions (MiniSat style).
 
     Literals are integers: variable [v]'s positive literal is [2*v] and
     its negative literal is [2*v+1].  Variables are allocated with
@@ -74,17 +75,14 @@ type proof_step =
           (duplicate literals removed, sorted).  Not justified by the
           trace — provenance is the caller's responsibility. *)
   | P_rup of int array
-      (** Derived clause: learnt clauses, strengthened or stripped
-          clauses, negated assumption cores.  Checkable by reverse unit
+      (** Derived clause: learnt clauses, clauses stripped of root-false
+          literals, negated assumption cores.  Checkable by reverse unit
           propagation over the preceding active set; [P_rup [||]] is
           the refutation. *)
   | P_lemma of int array
       (** Theory lemma integrated mid-search.  Not propositionally
           derivable — a checker must re-justify it against a standalone
           theory solver. *)
-  | P_pure of int
-      (** Pure-literal unit: sound because no clause of the preceding
-          active set contains the literal's negation. *)
   | P_delete of int array
       (** Removal of a clause currently in the active set (compared as
           a sorted literal set). *)
@@ -109,28 +107,6 @@ val proof_steps : t -> proof_step list
 val proof_length : t -> int
 (** Number of recorded steps ([List.length (proof_steps s)], O(1)). *)
 
-val set_simplify : t -> bool -> unit
-(** Enable the level-0 preprocessing pass (root unit propagation,
-    satisfied-clause removal, false-literal stripping, forward
-    subsumption, self-subsuming resolution), run at the start of every
-    {!solve}.  Off by default.  Every transformation is applied at
-    decision level 0, so models and unsat answers are unchanged. *)
-
-val set_pure_elim : t -> bool -> unit
-(** Additionally let the preprocessing pass fix pure literals (variables
-    occurring with a single polarity in the live clause database) at
-    level 0.  Off by default.  Unsound for variables constrained outside
-    the clause database — freeze those with {!freeze_var} — and for
-    incremental use where future clauses may introduce the missing
-    polarity; only enable it for single-shot solving. *)
-
-val set_lbd : t -> bool -> unit
-(** Score learnt clauses by literal block distance (glue): {!solve}'s
-    database reductions then delete the high-LBD half instead of the
-    low-activity half (keeping glue clauses forever), and conflict
-    clauses are minimized with the recursive (reason-graph) procedure
-    instead of the local one.  Off by default. *)
-
 val set_early_sat : t -> bool -> unit
 (** Allow {!solve} to call [final_check] on a partial assignment once
     every variable marked {!mark_important} is assigned and every
@@ -138,11 +114,6 @@ val set_early_sat : t -> bool -> unit
     don't-cares and read as [false] via {!value_var}.  Off by default;
     only sound when all externally-constrained variables (theory atoms)
     are marked important. *)
-
-val freeze_var : t -> int -> unit
-(** Exempt a variable from pure-literal elimination.  Required for
-    variables with meaning outside the clause database: theory atoms and
-    assumption literals. *)
 
 val mark_important : t -> int -> unit
 (** Mark a variable as gating early-SAT detection (see
@@ -288,13 +259,10 @@ val num_learnts : t -> int
     lemmas), accumulated over every {!solve} call; deletion by the
     clause-database reduction does not decrease it. *)
 
-val num_preprocessed : t -> int
-(** Clauses removed or strengthened by the level-0 preprocessing pass
-    ({!set_simplify}), accumulated over every {!solve} call. *)
-
 val num_lbd_deletions : t -> int
-(** Learnt clauses deleted by LBD-scored database reduction
-    ({!set_lbd}), accumulated over every {!solve} call. *)
+(** Learnt clauses deleted by the database reduction, which drops the
+    high-LBD half (keeping binary, glue and locked clauses), accumulated
+    over every {!solve} call. *)
 
 val num_early_sats : t -> int
 (** [Sat] answers concluded on a partial assignment by early-SAT
@@ -310,8 +278,8 @@ val arena_words : t -> int
     bytes. *)
 
 val arena_wasted_words : t -> int
-(** Words of the arena occupied by deleted or shrunk-away slices
-    (reclaimed by the next compaction). *)
+(** Words of the arena occupied by deleted slices (reclaimed by the
+    next compaction). *)
 
 val minor_words : t -> float
 (** Minor-heap words allocated inside {!solve} calls, cumulative

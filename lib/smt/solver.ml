@@ -1,13 +1,3 @@
-type features = {
-  pg_cnf : bool;
-  preprocess : bool;
-  theory_prop : bool;
-  lbd : bool;
-}
-
-let default_features = { pg_cnf = true; preprocess = true; theory_prop = true; lbd = true }
-let no_features = { pg_cnf = false; preprocess = false; theory_prop = false; lbd = false }
-
 (* Theory solvers and atom tables built for a given snapshot of the
    CNF's theory registries.  In incremental mode the snapshot is reused
    across checks as long as no new atoms or theory variables appeared
@@ -28,7 +18,6 @@ type tstate = {
 type t = {
   cnf : Cnf.t;
   incremental : bool;
-  features : features;
   certify : bool;
   mutable theory_rounds : int;
   mutable theory_props : int;
@@ -81,21 +70,14 @@ type stats = {
   minor_words : float;
 }
 
-let create ?(incremental = false) ?(certify = false) ?strategy ?(features = default_features) () =
-  let cnf = Cnf.create ~pg:features.pg_cnf ~proof:certify () in
+let create ?(incremental = false) ?(certify = false) ?strategy () =
+  let cnf = Cnf.create ~proof:certify () in
   let sat = Cnf.sat cnf in
   (match strategy with None -> () | Some st -> Sat.set_strategy sat st);
-  Sat.set_simplify sat features.preprocess;
-  (* Pure-literal elimination is unsound across incremental checks: a
-     later assertion or assumption may reintroduce the missing polarity
-     of an eliminated variable.  Single-shot solving only. *)
-  Sat.set_pure_elim sat (features.preprocess && not incremental);
-  Sat.set_lbd sat features.lbd;
-  Sat.set_early_sat sat features.theory_prop;
+  Sat.set_early_sat sat true;
   {
     cnf;
     incremental;
-    features;
     certify;
     theory_rounds = 0;
     theory_props = 0;
@@ -176,13 +158,12 @@ let theory_state s =
       (fun ((v, a) : int * Cnf.int_atom) -> atom_of_var.(v) <- Some a)
       (Cnf.int_atoms c);
     let idl = Idl_inc.create ~nvars:(zero + 1) in
-    if s.features.theory_prop then
-      List.iter
-        (fun ((v, a) : int * Cnf.int_atom) ->
-          let x = if a.Cnf.ix < 0 then zero else a.Cnf.ix in
-          let y = if a.Cnf.iy < 0 then zero else a.Cnf.iy in
-          Idl_inc.register_atom idl ~x ~y ~k:a.Cnf.ik ~var:v)
-        (Cnf.int_atoms c);
+    List.iter
+      (fun ((v, a) : int * Cnf.int_atom) ->
+        let x = if a.Cnf.ix < 0 then zero else a.Cnf.ix in
+        let y = if a.Cnf.iy < 0 then zero else a.Cnf.iy in
+        Idl_inc.register_atom idl ~x ~y ~k:a.Cnf.ik ~var:v)
+      (Cnf.int_atoms c);
     let ts =
       {
         zero;
@@ -220,20 +201,10 @@ let check ?(assumptions = []) s =
      allocated since (non-atoms, or the check would have rebuilt) fall
      off its end. *)
   let atom_of v = if v < Array.length ts.atom_of_var then ts.atom_of_var.(v) else None in
-  (* Theory atoms must survive pure-literal elimination (they are
-     constrained by the theory, not only the clauses) and gate early-SAT
-     detection (an unassigned atom could still be refuted). *)
-  List.iter
-    (fun ((v, _) : int * Cnf.int_atom) ->
-      Sat.freeze_var sat v;
-      Sat.mark_important sat v)
-    (Cnf.int_atoms c);
-  Array.iter
-    (fun ((v, _) : int * Cnf.rat_atom) ->
-      Sat.freeze_var sat v;
-      Sat.mark_important sat v)
-    rat_atoms;
-  List.iter (fun (l, _) -> Sat.freeze_var sat (Sat.lit_var l)) assumption_lits;
+  (* Theory atoms gate early-SAT detection: an unassigned atom could
+     still be refuted by the theory. *)
+  List.iter (fun ((v, _) : int * Cnf.int_atom) -> Sat.mark_important sat v) (Cnf.int_atoms c);
+  Array.iter (fun ((v, _) : int * Cnf.rat_atom) -> Sat.mark_important sat v) rat_atoms;
   let theory_pos = ref 0 in
   let int_model = ref [||] in
   let rat_model = ref [||] in
@@ -266,28 +237,27 @@ let check ?(assumptions = []) s =
          in
          (match res with
           | None ->
-            if s.features.theory_prop then
-              (* Ladder propagation: x-y<=k true forces every weaker
-                 bound on the pair; false forces every stronger bound
-                 false.  Emitting the binary lemma towards the adjacent
-                 unassigned rung lets unit propagation (with the lemma
-                 as reason) do what would otherwise each be a full
-                 theory conflict; adjacency composes, so the whole
-                 ladder is eventually covered. *)
-              if Sat.lit_sign lit then begin
-                let v' = Idl_inc.ladder_above idl ~var:v in
-                if v' >= 0 && not (Sat.var_assigned sat v') then begin
-                  pending := [ Sat.neg_lit v; Sat.pos_lit v' ] :: !pending;
-                  s.theory_props <- s.theory_props + 1
-                end
+            (* Ladder propagation: x-y<=k true forces every weaker
+               bound on the pair; false forces every stronger bound
+               false.  Emitting the binary lemma towards the adjacent
+               unassigned rung lets unit propagation (with the lemma as
+               reason) do what would otherwise each be a full theory
+               conflict; adjacency composes, so the whole ladder is
+               eventually covered. *)
+            if Sat.lit_sign lit then begin
+              let v' = Idl_inc.ladder_above idl ~var:v in
+              if v' >= 0 && not (Sat.var_assigned sat v') then begin
+                pending := [ Sat.neg_lit v; Sat.pos_lit v' ] :: !pending;
+                s.theory_props <- s.theory_props + 1
               end
-              else begin
-                let v' = Idl_inc.ladder_below idl ~var:v in
-                if v' >= 0 && not (Sat.var_assigned sat v') then begin
-                  pending := [ Sat.neg_lit v'; Sat.pos_lit v ] :: !pending;
-                  s.theory_props <- s.theory_props + 1
-                end
+            end
+            else begin
+              let v' = Idl_inc.ladder_below idl ~var:v in
+              if v' >= 0 && not (Sat.var_assigned sat v') then begin
+                pending := [ Sat.neg_lit v'; Sat.pos_lit v ] :: !pending;
+                s.theory_props <- s.theory_props + 1
               end
+            end
           | Some tags ->
             s.theory_rounds <- s.theory_rounds + 1;
             running := false;
@@ -412,7 +382,7 @@ let stats s =
     learned_clauses = Sat.num_learnts sat;
     theory_rounds = s.theory_rounds;
     theory_propagations = s.theory_props;
-    preprocessed_clauses = Sat.num_preprocessed sat;
+    preprocessed_clauses = 0;
     lbd_reductions = Sat.num_lbd_deletions sat;
     checks = s.checks;
     arena_words = Sat.arena_words sat;

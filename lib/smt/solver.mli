@@ -43,35 +43,6 @@ type strategy = Sat.strategy = {
 
 val default_strategy : strategy
 
-type features = {
-  pg_cnf : bool;
-      (** polarity-aware (Plaisted–Greenbaum) CNF conversion: And/Or
-          definitions emit only the implication direction they are used
-          under (see {!Cnf.create}) *)
-  preprocess : bool;
-      (** level-0 preprocessing before each search: root unit
-          propagation, subsumption, self-subsuming resolution, and (for
-          single-shot solvers) pure-literal elimination *)
-  theory_prop : bool;
-      (** difference-logic theory propagation (ladder lemmas pushed to
-          the SAT core as propagations with theory reasons) and
-          early-SAT detection once every theory atom is assigned *)
-  lbd : bool;
-      (** LBD (glue) scoring for learnt-clause deletion and recursive
-          conflict-clause minimization *)
-}
-(** Solver-throughput optimizations, independently toggleable.  Every
-    combination is sound and complete and yields identical verdicts —
-    they only change how fast the search converges and which of the
-    (possibly many) models is found. *)
-
-val default_features : features
-(** All four optimizations on. *)
-
-val no_features : features
-(** All four off: the historical solver behavior, kept as the ablation
-    baseline. *)
-
 exception Canceled
 (** Raised by {!check} when the {!set_stop} hook fires.  The solver
     remains usable: learnt clauses are kept and a later {!check}
@@ -99,7 +70,9 @@ type stats = {
       (** ladder lemmas pushed to the SAT core by difference-logic
           theory propagation *)
   preprocessed_clauses : int;
-      (** clauses removed or strengthened by level-0 preprocessing *)
+      (** always [0]: the solver runs no level-0 preprocessing.  Kept
+          so readers of the stats record and of the schema-2 report
+          JSON (its ["preprocessed_clauses"] key) stay unchanged. *)
   lbd_reductions : int;  (** learnt clauses deleted by LBD-scored reduction *)
   checks : int;  (** {!check} calls answered so far *)
   arena_words : int;
@@ -113,18 +86,20 @@ type stats = {
 (** Counters accumulate across every {!check} of an incremental
     solver; they are never reset. *)
 
-val create :
-  ?incremental:bool -> ?certify:bool -> ?strategy:strategy -> ?features:features -> unit -> t
+val create : ?incremental:bool -> ?certify:bool -> ?strategy:strategy -> unit -> t
 (** [incremental] (default [false]) allows any number of {!check}
     calls, interleaved with new assertions.  [certify] (default
     [false]) records the evidence needed for independent verdict
     checking: a DRAT-style proof trace in the SAT core (see
     {!Sat.enable_proof}) and the asserted terms for model evaluation;
     the recordings are consumed by the [Proof] library.  [strategy]
-    (default {!default_strategy}) steers the SAT search.  [features]
-    (default {!default_features}) selects the solver-throughput
-    optimizations; in incremental mode, pure-literal elimination is
-    disabled regardless (it is unsound across checks). *)
+    (default {!default_strategy}) steers the SAT search.
+
+    There is one solver configuration: difference-logic theory
+    propagation (ladder lemmas pushed to the SAT core as propagations
+    with theory reasons) with early-SAT detection once every theory
+    atom is assigned, LBD-scored learnt-clause deletion with recursive
+    conflict-clause minimization, and full Tseitin CNF. *)
 
 val set_stop : t -> (unit -> bool) option -> unit
 (** Cooperative cancellation/budget hook: polled every few hundred SAT

@@ -1,7 +1,7 @@
 (* Encoder feature tests: iBGP with network copies, communities in
    filters and the symbolic environment, aggregation on export,
-   neighbor preferences, and the paper's Figure 6(a) multipath
-   inconsistency. *)
+   neighbor preferences, the paper's Figure 6(a) multipath
+   inconsistency, and eBGP sessions over a missing link. *)
 
 module A = Config.Ast
 module MS = Minesweeper
@@ -273,6 +273,36 @@ let test_multipath_inconsistency () =
 
 (* -- encoding statistics sanity --------------------------------------------------- *)
 
+(* -- eBGP sessions need a physical link ---------------------------------------- *)
+
+(* A configured eBGP session whose link is missing from the topology
+   never comes up, exactly as in the simulator: once the tor_0_0 --
+   agg_0_0 link is gone, no route tor_0_0 exports can be valid at
+   agg_0_0. *)
+let test_ebgp_needs_link () =
+  let net = (Generators.Fattree.make ~pods:2).Generators.Fattree.network in
+  let topo = net.A.net_topology in
+  let kept (l : Net.Topology.link) =
+    List.sort compare [ l.Net.Topology.a.Net.Topology.device; l.Net.Topology.b.Net.Topology.device ]
+    <> [ "agg_0_0"; "tor_0_0" ]
+  in
+  let cut =
+    List.fold_left
+      (fun t l -> if kept l then Net.Topology.add_link t l else t)
+      (List.fold_left Net.Topology.add_device Net.Topology.empty (Net.Topology.devices topo))
+      (Net.Topology.links topo)
+  in
+  let enc = MS.Encode.build { net with A.net_topology = cut } default in
+  match List.assoc_opt "tor_0_0" (MS.Encode.internal_imports enc "agg_0_0") with
+  | None -> Alcotest.fail "the configured session should still be encoded"
+  | Some r ->
+    let s = Smt.Solver.create () in
+    List.iter (Smt.Solver.assert_term s) (MS.Encode.assertions enc);
+    Smt.Solver.assert_term s r.MS.Sym_record.valid;
+    (match Smt.Solver.check s with
+     | Smt.Solver.Unsat -> ()
+     | Smt.Solver.Sat _ -> Alcotest.fail "a route crossed the missing tor_0_0 -- agg_0_0 link")
+
 let test_slicing_shrinks () =
   let t = Generators.Fattree.make ~pods:2 in
   let sliced = MS.Encode.build t.Generators.Fattree.network default in
@@ -292,4 +322,5 @@ let () =
       ("preferences", [ Alcotest.test_case "neighbor order" `Quick test_neighbor_preference ]);
       ("multipath", [ Alcotest.test_case "figure 6a" `Quick test_multipath_inconsistency ]);
       ("stats", [ Alcotest.test_case "slicing shrinks" `Quick test_slicing_shrinks ]);
+      ("ebgp", [ Alcotest.test_case "session needs a link" `Quick test_ebgp_needs_link ]);
     ]

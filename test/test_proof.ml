@@ -3,8 +3,7 @@
    The checker must accept real solver traces end to end — and, just as
    importantly, must be falsifiable: hand-crafted invalid proofs (a
    bogus RUP step, a use of a deleted clause, a deletion of an absent
-   clause, a mis-justified theory lemma, a bogus purity claim) are all
-   rejected, and so is a genuine trace with an input clause removed. *)
+   clause, a mis-justified theory lemma) are all rejected, and so is a genuine trace with an input clause removed. *)
 
 module MS = Minesweeper
 module G = Generators
@@ -94,16 +93,6 @@ let test_rejects_bad_lemma () =
             Sat.P_input [| n 2 |];
             Sat.P_rup [||];
           ]))
-
-let test_purity () =
-  (* p2 occurs only positively: pure.  p1 occurs in both phases: not. *)
-  expect_error "impure literal" "not pure"
-    (run [ Sat.P_input [| p 1; p 2 |]; Sat.P_input [| n 1; p 2 |]; Sat.P_pure (p 1) ]);
-  ignore
-    (expect_ok "pure literal"
-       (run
-          ~goal:(Checker.Assumptions [ n 2 ])
-          [ Sat.P_input [| p 1; p 2 |]; Sat.P_input [| n 1; p 2 |]; Sat.P_pure (p 2) ]))
 
 let test_assumption_goal_unrefuted () =
   expect_error "assumptions not refuted" "not refuted"
@@ -338,7 +327,6 @@ let () =
           Alcotest.test_case "deleted-then-used rejected" `Quick test_rejects_deleted_then_used;
           Alcotest.test_case "absent deletion rejected" `Quick test_rejects_absent_deletion;
           Alcotest.test_case "bad lemma rejected" `Quick test_rejects_bad_lemma;
-          Alcotest.test_case "purity" `Quick test_purity;
           Alcotest.test_case "unrefuted assumptions rejected" `Quick
             test_assumption_goal_unrefuted;
         ] );

@@ -176,22 +176,15 @@ let test_unsat_is_permanent () =
    their [reason] slots, and conflict analysis hits the missing-reason
    assertion or derives garbage.  Correct Unsat answers under thousands
    of forced reductions *and* at least one arena compaction are the
-   regression signal; both reduction policies (activity and LBD) are
-   exercised. *)
+   regression signal. *)
 let test_locked_clauses_survive_reduction () =
-  List.iter
-    (fun lbd ->
-      let s = S.create () in
-      S.set_lbd s lbd;
-      S.set_max_learnts s 3;
-      pigeonhole_into s 6;
-      Alcotest.check result
-        (Printf.sprintf "php 6 under constant reduction (lbd=%b)" lbd)
-        S.Unsat (S.solve s);
-      if S.num_compactions s = 0 then
-        Alcotest.failf "expected arena compactions under lbd=%b (wasted %d of %d words)" lbd
-          (S.arena_wasted_words s) (S.arena_words s))
-    [ false; true ]
+  let s = S.create () in
+  S.set_max_learnts s 3;
+  pigeonhole_into s 6;
+  Alcotest.check result "php 6 under constant reduction" S.Unsat (S.solve s);
+  if S.num_compactions s = 0 then
+    Alcotest.failf "expected arena compactions (wasted %d of %d words)" (S.arena_wasted_words s)
+      (S.arena_words s)
 
 (* The same stress under assumptions: the refutation is independent of
    the (irrelevant) assumed literal, so the reported core must be empty,

@@ -1,12 +1,10 @@
-(* Differential coverage for the four solver-throughput fronts
-   (polarity-aware CNF, level-0 preprocessing, theory propagation, LBD
-   clause management): every one of the 2^4 feature combinations must
-   give exactly the verdicts of the all-off baseline on the enterprise
-   and fattree suites, with well-formed counterexamples; a QCheck
-   differential pits random feature combinations against the concrete
-   routing simulator; and unit tests pin down pure-literal model
-   reconstruction, including the frozen-theory-atom case the Solver
-   layer depends on. *)
+(* Differential coverage for the CDCL(T) solver's search machinery:
+   the restart-mode x rephasing grid must give identical verdicts with
+   well-formed counterexamples on the enterprise and fattree suites; a
+   QCheck differential pits the portfolio's strategy variants against
+   the concrete routing simulator; a regression test pins down that
+   early-SAT detection leaves theory atoms open for the theory; and
+   the clause-sharing tests check export and certified import. *)
 
 module MS = Minesweeper
 
@@ -21,27 +19,6 @@ module Ip = Net.Ipv4
 
 let parse = Config.Parser.parse_network
 let violated = function MS.Verify.Violation _ -> true | MS.Verify.Holds -> false
-
-(* All 16 feature combinations, all-off first. *)
-let combos =
-  List.init 16 (fun bits ->
-      let feats =
-        {
-          Smt.Solver.pg_cnf = bits land 1 <> 0;
-          preprocess = bits land 2 <> 0;
-          theory_prop = bits land 4 <> 0;
-          lbd = bits land 8 <> 0;
-        }
-      in
-      let name =
-        if bits = 0 then "off"
-        else
-          String.concat "+"
-            (List.filter_map
-               (fun (b, n) -> if bits land b <> 0 then Some n else None)
-               [ (1, "pg"); (2, "pre"); (4, "tp"); (8, "lbd") ])
-      in
-      (name, feats))
 
 (* Every forwarding edge of a decoded counterexample must be a next-hop
    the encoding actually offers. *)
@@ -59,76 +36,12 @@ let check_cx_valid name enc (cx : MS.Counterexample.t) =
         Alcotest.failf "%s: counterexample hop at %s is not offered by the encoding" name d)
     cx.MS.Counterexample.forwarding
 
-(* For each feature combination, run the whole suite on encodings built
-   with that combination (fresh single-shot solver per query) and
-   demand the all-off verdicts. *)
-let feature_grid name net (props : (string * (MS.Encode.t -> MS.Property.t)) list) =
-  let run feats =
-    let opts = MS.Options.with_features feats MS.Options.default in
-    let enc = MS.Encode.build net opts in
-    ( enc,
-      List.map
-        (fun (pname, make) -> (pname, MS.Verify.run_query enc (MS.Verify.Query.v pname make)))
-        props )
-  in
-  let _, baseline = run Smt.Solver.no_features in
-  List.iter
-    (fun (cname, feats) ->
-      let enc, reports = run feats in
-      List.iter2
-        (fun (pname, (base : MS.Verify.Report.t)) (_, (r : MS.Verify.Report.t)) ->
-          let basev = MS.Verify.Report.verdict_name base.MS.Verify.Report.verdict in
-          let rv = MS.Verify.Report.verdict_name r.MS.Verify.Report.verdict in
-          if basev <> rv then
-            Alcotest.failf "%s/%s on %s: all-off says %s, %s says %s" name cname pname basev
-              cname rv;
-          match r.MS.Verify.Report.verdict with
-          | MS.Verify.Report.Violated cx ->
-            check_cx_valid (name ^ "/" ^ cname ^ "/" ^ pname) enc cx
-          | _ -> ())
-        baseline reports)
-    combos
-
-let test_enterprise_grid () =
-  (* hijack injected: the grid must agree on violations too *)
-  let t =
-    G.Enterprise.make ~seed:5 ~routers:8
-      ~inject:{ G.Enterprise.hijack = true; acl_gap = false; deep_drop = false; single_homed = false }
-      ()
-  in
-  let net = t.G.Enterprise.network in
-  let devices = List.map (fun (d : A.device) -> d.A.dev_name) net.A.net_devices in
-  let target = List.hd (List.rev devices) in
-  let mgmt_dest = MS.Property.Subnet (target, t.G.Enterprise.mgmt_prefix target) in
-  let allowed = t.G.Enterprise.edge_routers @ t.G.Enterprise.rack_role in
-  feature_grid "enterprise" net
-    [
-      ("mgmt-reachability", fun enc -> MS.Property.reachability enc ~sources:devices mgmt_dest);
-      ("no-blackholes", fun enc -> MS.Property.no_blackholes enc ~allowed ());
-      ("no-loops", fun enc -> MS.Property.no_loops enc ());
-    ]
-
-let test_fattree_grid () =
-  let ft = G.Fattree.make ~pods:2 in
-  let net = ft.G.Fattree.network in
-  let dst_tor = List.hd ft.G.Fattree.tors in
-  let other_tors = List.filter (fun t -> t <> dst_tor) ft.G.Fattree.tors in
-  let dest = MS.Property.Subnet (dst_tor, ft.G.Fattree.tor_subnet dst_tor) in
-  feature_grid "fattree" net
-    [
-      ( "all-tor-reachability",
-        fun enc -> MS.Property.reachability enc ~sources:other_tors dest );
-      ("multipath-consistency", fun enc -> MS.Property.multipath_consistency enc dest);
-      ( "isolation-should-fail",
-        fun enc -> MS.Property.isolation enc ~sources:[ List.hd other_tors ] dest );
-    ]
-
-(* -- QCheck: random nets, random feature combination, simulator oracle ----- *)
+(* -- QCheck: random nets, random strategy variant, simulator oracle -------- *)
 
 (* Random OSPF networks (a random tree plus an optional chord, random
    costs, one subnet per device, an optional ACL): subnet-to-subnet
-   reachability under a random feature combination must coincide with
-   the concrete simulator. *)
+   reachability under a random portfolio strategy variant must coincide
+   with the concrete simulator. *)
 let build_random_net seed =
   let rng = Random.State.make [| seed |] in
   let n = 3 + Random.State.int rng 3 in
@@ -173,13 +86,15 @@ let build_random_net seed =
   done;
   (parse (Buffer.contents b), n)
 
-let prop_feature_oracle =
-  QCheck.Test.make ~name:"random feature combos match the routing simulator" ~count:20
+let prop_strategy_oracle =
+  QCheck.Test.make ~name:"random strategy variants match the routing simulator" ~count:20
     (QCheck.make QCheck.Gen.(int_range 0 99999))
     (fun seed ->
       let net, n = build_random_net seed in
-      let _, feats = List.nth combos (seed mod 16) in
-      let opts = MS.Options.with_features feats MS.Options.default in
+      let sname, strategy =
+        List.nth MS.Options.portfolio (seed mod List.length MS.Options.portfolio)
+      in
+      let opts = MS.Options.with_strategy strategy MS.Options.default in
       let state = Routing.Simulator.run net Routing.Simulator.empty_env in
       let src = "R0" in
       for dst = 1 to min 2 (n - 1) do
@@ -194,70 +109,20 @@ let prop_feature_oracle =
         in
         let symbolic = not (violated (verify_check enc prop)) in
         if concrete <> symbolic then
-          QCheck.Test.fail_reportf "seed %d combo %d dst R%d: simulator=%b encoder=%b" seed
-            (seed mod 16) dst concrete symbolic
+          QCheck.Test.fail_reportf "seed %d strategy %s dst R%d: simulator=%b encoder=%b" seed
+            sname dst concrete symbolic
       done;
       true)
 
-(* -- pure-literal elimination: model reconstruction ------------------------ *)
+(* -- early-SAT: theory atoms stay open ------------------------------------- *)
 
-(* Pure literals are fixed at level 0, so the SAT model must still
-   satisfy every original clause — including the ones the fixing
-   removed from the live database. *)
-let test_pure_literal_model () =
-  let s = Smt.Sat.create () in
-  Smt.Sat.set_simplify s true;
-  Smt.Sat.set_pure_elim s true;
-  let p = Smt.Sat.new_var s in
-  let a = Smt.Sat.new_var s in
-  let b = Smt.Sat.new_var s in
-  (* p occurs only positively; a and b both ways. *)
-  let clauses =
-    [
-      [ Smt.Sat.pos_lit p; Smt.Sat.pos_lit a ];
-      [ Smt.Sat.pos_lit p; Smt.Sat.pos_lit b ];
-      [ Smt.Sat.neg_lit a; Smt.Sat.neg_lit b ];
-    ]
-  in
-  List.iter (Smt.Sat.add_clause s) clauses;
-  (match Smt.Sat.solve s with
-   | Smt.Sat.Sat -> ()
-   | Smt.Sat.Unsat -> Alcotest.fail "pure-literal instance is satisfiable");
-  List.iteri
-    (fun i c ->
-      if not (List.exists (Smt.Sat.value_lit s) c) then
-        Alcotest.failf "model violates original clause %d after pure-literal elimination" i)
-    clauses
-
-(* A frozen variable must survive pure-literal elimination even when it
-   occurs with a single polarity. *)
-let test_pure_literal_frozen () =
-  let s = Smt.Sat.create () in
-  Smt.Sat.set_simplify s true;
-  Smt.Sat.set_pure_elim s true;
-  let p = Smt.Sat.new_var s in
-  let atom = Smt.Sat.new_var s in
-  Smt.Sat.freeze_var s atom;
-  Smt.Sat.add_clause s [ Smt.Sat.pos_lit p; Smt.Sat.pos_lit atom ];
-  (* External (theory-style) veto: any full assignment with [atom] true
-     is rejected.  If pure-literal elimination had fixed the frozen
-     [atom] true, the search could never recover. *)
-  let final_check s' =
-    if Smt.Sat.value_var s' atom then [ [ Smt.Sat.neg_lit atom ] ] else []
-  in
-  (match Smt.Sat.solve ~final_check s with
-   | Smt.Sat.Sat -> ()
-   | Smt.Sat.Unsat -> Alcotest.fail "frozen-atom instance is satisfiable (p true, atom false)");
-  Alcotest.(check bool) "p carries the clause" true (Smt.Sat.value_var s p);
-  Alcotest.(check bool) "frozen atom respects the theory" false (Smt.Sat.value_var s atom)
-
-(* Same shape at the Solver layer: [p \/ (x - y <= -1)] with the theory
-   forcing x = y.  The atom occurs only positively in the CNF; it must
-   stay open for the difference-logic solver to refute, leaving p to
-   carry the disjunction.  All four fronts on — this is exactly the
-   configuration Verify uses for single-shot queries. *)
-let test_pure_literal_theory_atom () =
-  let s = Smt.Solver.create ~features:Smt.Solver.default_features () in
+(* [p \/ (x - y <= -1)] with the theory forcing x = y.  Early-SAT
+   detection may stop the search on a partial assignment only once every
+   theory atom is assigned: the atom must stay open until the
+   difference-logic solver refutes it, leaving p to carry the
+   disjunction. *)
+let test_early_sat_theory_atom () =
+  let s = Smt.Solver.create () in
   let x = T.var "x" Smt.Sort.Int in
   let y = T.var "y" Smt.Sort.Int in
   let p = T.var "p" Smt.Sort.Bool in
@@ -272,9 +137,8 @@ let test_pure_literal_theory_atom () =
 
 (* -- restart and phase scheduling: strategy differential ------------------- *)
 
-(* The four restart-mode x rephasing corners.  Like the feature grid,
-   every corner is sound and complete: identical verdicts, valid
-   counterexamples. *)
+(* The four restart-mode x rephasing corners.  Every corner is sound
+   and complete: identical verdicts, valid counterexamples. *)
 let strategy_combos =
   let d = Smt.Solver.default_strategy in
   [
@@ -368,7 +232,6 @@ let test_ema_rephase_engage () =
   let s = Smt.Sat.create () in
   Smt.Sat.set_strategy s
     { Smt.Sat.default_strategy with Smt.Sat.restart_mode = Smt.Sat.Ema_lbd; rephase = true };
-  Smt.Sat.set_lbd s true;
   add_pigeonhole s 7;
   (match Smt.Sat.solve s with
    | Smt.Sat.Unsat -> ()
@@ -389,7 +252,6 @@ let test_ema_rephase_engage () =
    enough for CI. *)
 let test_sharing_certified () =
   let a = Smt.Sat.create () in
-  Smt.Sat.set_lbd a true;
   Smt.Sat.set_share a ~max_lbd:8 ~max_len:30;
   add_pigeonhole a 7;
   (match Smt.Sat.solve a with
@@ -400,7 +262,6 @@ let test_sharing_certified () =
   Alcotest.(check int) "exported counter" (List.length exported) (Smt.Sat.num_exported a);
   let b = Smt.Sat.create () in
   Smt.Sat.enable_proof b;
-  Smt.Sat.set_lbd b true;
   add_pigeonhole b 7;
   let accepted =
     List.fold_left (fun k c -> if Smt.Sat.import_clause b c then k + 1 else k) 0 exported
@@ -432,13 +293,8 @@ let test_import_non_rup_dropped () =
   Alcotest.(check int) "nothing imported" 0 (Smt.Sat.num_imported b)
 
 let () =
-  Alcotest.run "solver-features"
+  Alcotest.run "solver"
     [
-      ( "feature-grid",
-        [
-          Alcotest.test_case "enterprise 16 combos" `Quick test_enterprise_grid;
-          Alcotest.test_case "fattree 16 combos" `Quick test_fattree_grid;
-        ] );
       ( "strategy-grid",
         [
           Alcotest.test_case "enterprise restart x rephase" `Quick
@@ -451,11 +307,6 @@ let () =
           Alcotest.test_case "certified import round-trip" `Quick test_sharing_certified;
           Alcotest.test_case "non-RUP import dropped" `Quick test_import_non_rup_dropped;
         ] );
-      ( "pure-literals",
-        [
-          Alcotest.test_case "model reconstruction" `Quick test_pure_literal_model;
-          Alcotest.test_case "frozen var survives" `Quick test_pure_literal_frozen;
-          Alcotest.test_case "theory atom stays open" `Quick test_pure_literal_theory_atom;
-        ] );
-      ("oracle", [ QCheck_alcotest.to_alcotest prop_feature_oracle ]);
+      ("early-sat", [ Alcotest.test_case "theory atom stays open" `Quick test_early_sat_theory_atom ]);
+      ("oracle", [ QCheck_alcotest.to_alcotest prop_strategy_oracle ]);
     ]

@@ -29,19 +29,34 @@ let test_quote_and_opt () =
   Alcotest.(check string) "opt none" "null" (Msutil.Json.opt None);
   Alcotest.(check string) "opt some" "\"x\"" (Msutil.Json.opt (Some "x"))
 
-(* every implementation that used to hand-roll escaping now goes
-   through the shared one *)
-let test_shared_everywhere () =
-  let nasty = "a\"b\\c\nd" in
-  Alcotest.(check string)
-    "verify report escaping is the shared escaping"
-    (Msutil.Json.escape nasty)
-    (Minesweeper.Verify.Report.json_escape nasty)
-
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
+
+(* the verification report renderer escapes through the shared
+   implementation: a hostile label comes out exactly as Msutil.Json
+   escapes it *)
+let test_shared_everywhere () =
+  let nasty = "a\"b\\c\nd" in
+  let module R = Minesweeper.Verify.Report in
+  let r =
+    {
+      R.label = nasty;
+      verdict = R.Verified;
+      certificate = R.Uncertified;
+      wall_ms = 0.0;
+      stats = R.empty_stats;
+      worker = 0;
+      strategy = None;
+      support = None;
+      replayed = false;
+      method_ = None;
+    }
+  in
+  Alcotest.(check bool)
+    "verify report escaping is the shared escaping" true
+    (contains ~needle:("\"label\":\"" ^ Msutil.Json.escape nasty ^ "\"") (R.to_json r))
 
 let sample_diags () =
   [
