@@ -195,8 +195,10 @@ let out_map_toward t (sender : A.device) (receiver : string) =
 (* ==================== main construction ==================== *)
 
 (* Every encoding instance gets a unique name-space: term variables are
-   hash-consed globally by name, so two encodings of the same network
-   (e.g. with different options) must not share variable names. *)
+   hash-consed by name across the process, so two live encodings of the
+   same network (e.g. with different options) must not share variable
+   names.  The terms themselves are held weakly: dropping an encoding
+   and every solver that blasted it lets the GC reclaim its terms. *)
 let encoding_counter = ref 0
 
 let rec build_general (net : A.network) (opts : Options.t) ~igp_only ~suffix ~dst_const

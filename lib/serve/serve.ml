@@ -135,6 +135,11 @@ type t = {
   enc_cache : (string, built) Hashtbl.t;
   mutable enc_order : string list;  (* insertion order, oldest last — FIFO eviction *)
   c : counters;
+  mutable live_terms : int option;
+      (* [Term.live_count] as of the last [stats]; [None] once another
+         request may have built or dropped terms.  Counting scans the
+         whole hash-consing table (milliseconds on a full cache), and
+         clients poll [stats] far more often than they change state. *)
 }
 
 let enc_cache_cap = 8
@@ -146,6 +151,7 @@ let create ?(jobs = 1) opts =
     state = None;
     enc_cache = Hashtbl.create 8;
     enc_order = [];
+    live_terms = None;
     c =
       {
         loads = 0;
@@ -422,19 +428,30 @@ let handle_query t specs req_jobs =
 
 let handle_stats t =
   let c = t.c in
+  let live_terms =
+    match t.live_terms with
+    | Some n -> n
+    | None ->
+      let n = Smt.Term.live_count () in
+      t.live_terms <- Some n;
+      n
+  in
   Printf.sprintf
-    "{\"schema\":%d,\"ok\":true,\"op\":\"stats\",\"loaded\":%b,\"devices\":%d,\"loads\":%d,\"diffs\":%d,\"query_requests\":%d,\"queries_answered\":%d,\"enc_cache_hits\":%d,\"enc_cache_misses\":%d,\"enc_cache_size\":%d,\"verdict_hits\":%d,\"solves\":%d,\"delta_replays\":%d,\"delta_diffs\":%d,\"full_diffs\":%d,\"dropped_verdicts\":%d}"
+    "{\"schema\":%d,\"ok\":true,\"op\":\"stats\",\"loaded\":%b,\"devices\":%d,\"loads\":%d,\"diffs\":%d,\"query_requests\":%d,\"queries_answered\":%d,\"enc_cache_hits\":%d,\"enc_cache_misses\":%d,\"enc_cache_size\":%d,\"verdict_hits\":%d,\"solves\":%d,\"delta_replays\":%d,\"delta_diffs\":%d,\"full_diffs\":%d,\"dropped_verdicts\":%d,\"live_terms\":%d,\"heap_mb\":%.1f}"
     schema
     (t.state <> None)
     (match t.state with Some ns -> List.length ns.ns_net.A.net_devices | None -> 0)
     c.loads c.diffs c.query_requests c.queries_answered c.enc_cache_hits c.enc_cache_misses
     (Hashtbl.length t.enc_cache) c.verdict_hits c.solves c.delta_replays c.delta_diffs
-    c.full_diffs c.dropped_verdicts
+    c.full_diffs c.dropped_verdicts live_terms
+    (float_of_int ((Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8)) /. 1048576.)
 
 (* One request line in, one response line out.  [`Stop] after a
    [shutdown] acknowledgement. *)
 let handle_line t line : string * [ `Continue | `Stop ] =
-  match Protocol.parse_request line with
+  let req = Protocol.parse_request line in
+  (match req with Ok Protocol.Stats -> () | _ -> t.live_terms <- None);
+  match req with
   | Error e -> (err "%s" e, `Continue)
   | Ok (Protocol.Load text) -> (handle_load t text, `Continue)
   | Ok (Protocol.Diff text) -> (handle_diff t text, `Continue)

@@ -6,10 +6,18 @@ type rat_atom = { rcoeffs : (int * Rat.t) list; rbound : Rat.t; rstrict : bool }
 (* A "bit" during bit-blasting: either a SAT literal or a constant. *)
 type bit = Blit of int | Bconst of bool
 
+(* Memo tables that own their keys.  Term hash-consing is weak, so a
+   memo keyed by bare ids would let a blasted term be reclaimed and
+   rebuilt under a fresh id, missing the memo and re-blasting it; holding
+   the term keeps every term this solver has blasted shared for as long
+   as the solver lives.  (The theory-variable tables may stay keyed by
+   id: [int_var_list] and [rat_var_list] hold their terms.) *)
+module Tbl = Hashtbl.Make (Term)
+
 type t = {
   sat : Sat.t;
   true_lit : int;
-  lit_memo : (int, int) Hashtbl.t;
+  lit_memo : int Tbl.t;
   int_vars : (int, int) Hashtbl.t;
   mutable int_var_list : (Term.t * int) list;
   mutable n_int_vars : int;
@@ -20,7 +28,7 @@ type t = {
   mutable int_atom_list : (int * int_atom) list;
   rat_atom_tbl : (string, int) Hashtbl.t;
   mutable rat_atom_list : (int * rat_atom) list;
-  bv_memo : (int, bit array) Hashtbl.t;
+  bv_memo : bit array Tbl.t;
   mutable bv_var_list : (Term.t * int array) list;
   mutable bool_var_list : (Term.t * int) list;
 }
@@ -36,7 +44,7 @@ let create ?(proof = false) () =
   {
     sat;
     true_lit;
-    lit_memo = Hashtbl.create 4096;
+    lit_memo = Tbl.create 4096;
     int_vars = Hashtbl.create 256;
     int_var_list = [];
     n_int_vars = 0;
@@ -47,7 +55,7 @@ let create ?(proof = false) () =
     int_atom_list = [];
     rat_atom_tbl = Hashtbl.create 64;
     rat_atom_list = [];
-    bv_memo = Hashtbl.create 64;
+    bv_memo = Tbl.create 64;
     bv_var_list = [];
     bool_var_list = [];
   }
@@ -130,7 +138,7 @@ let bit_to_lit c = function Bconst true -> c.true_lit | Bconst false -> false_li
 (* -- bit-blasting ------------------------------------------------------------ *)
 
 let rec bits_of c (t : Term.t) =
-  match Hashtbl.find_opt c.bv_memo (Term.id t) with
+  match Tbl.find_opt c.bv_memo t with
   | Some bits -> bits
   | None ->
     let width = match Term.sort t with Sort.Bitvec w -> w | _ -> invalid_arg "Cnf.bits_of" in
@@ -146,7 +154,7 @@ let rec bits_of c (t : Term.t) =
         Array.init width (fun i -> bit_and2 c ba.(i) bb.(i))
       | _ -> invalid_arg "Cnf.bits_of: unsupported bit-vector term"
     in
-    Hashtbl.add c.bv_memo (Term.id t) bits;
+    Tbl.add c.bv_memo t bits;
     bits
 
 let bv_eq_lit c a b =
@@ -235,11 +243,11 @@ let rec lit_of c (t : Term.t) =
   | Term.Iff (a, b) -> lit_of c (Term.iff a b)
   | Term.Ite (cond, a, b) -> lit_of c (Term.ite cond a b)
   | _ -> (
-    match Hashtbl.find_opt c.lit_memo (Term.id t) with
+    match Tbl.find_opt c.lit_memo t with
     | Some l -> l
     | None ->
       let l = match t.node with Term.And _ | Term.Or _ -> fresh_lit c | _ -> build_leaf c t in
-      Hashtbl.replace c.lit_memo (Term.id t) l;
+      Tbl.replace c.lit_memo t l;
       define c t l;
       l)
 

@@ -80,26 +80,27 @@ let node_hash n =
   | Bv_and (a, b) -> combine 67 (combine a.id b.id)
   | Bv_ule (a, b) -> combine 71 (combine a.id b.id)
 
-module Key = struct
-  type nonrec t = node * Sort.t
+(* A weak set: the table does not keep its terms alive, so a term that
+   nothing else references is reclaimed by the GC.  Ids come from a
+   counter that only moves when a new term is inserted, so they stay
+   unique for the process lifetime and are never reused. *)
+module Table = Weak.Make (struct
+  type nonrec t = t
 
-  let equal (n1, s1) (n2, s2) = Sort.equal s1 s2 && node_equal n1 n2
-  let hash (n, s) = combine (node_hash n) (Hashtbl.hash s)
-end
+  let equal a b = Sort.equal a.sort b.sort && node_equal a.node b.node
+  let hash t = combine (node_hash t.node) (Hashtbl.hash t.sort)
+end)
 
-module Table = Hashtbl.Make (Key)
-
-let table : t Table.t = Table.create 4096
+let table = Table.create 4096
 let next_id = ref 0
 
 let mk node sort =
-  match Table.find_opt table (node, sort) with
-  | Some t -> t
-  | None ->
-    let t = { id = !next_id; node; sort } in
-    incr next_id;
-    Table.add table (node, sort) t;
-    t
+  let candidate = { id = !next_id; node; sort } in
+  let t = Table.merge table candidate in
+  if t == candidate then incr next_id;
+  t
+
+let live_count () = Table.count table
 
 let sort t = t.sort
 let id t = t.id
@@ -119,10 +120,19 @@ let require_sort what expected t =
       (Printf.sprintf "Term.%s: expected sort %s, got %s" what (Sort.to_string expected)
          (Sort.to_string t.sort))
 
-let vars : (string, t) Hashtbl.t = Hashtbl.create 512
+(* Live variables by name, to reject a name re-declared at another sort. *)
+module Vars = Weak.Make (struct
+  type nonrec t = t
+
+  let name t = match t.node with Var s -> s | _ -> assert false
+  let equal a b = String.equal (name a) (name b)
+  let hash t = Hashtbl.hash (name t)
+end)
+
+let vars = Vars.create 512
 
 let var name s =
-  match Hashtbl.find_opt vars name with
+  match Vars.find_opt vars { id = -1; node = Var name; sort = s } with
   | Some t ->
     if not (Sort.equal t.sort s) then
       invalid_arg
@@ -131,7 +141,7 @@ let var name s =
     t
   | None ->
     let t = mk (Var name) s in
-    Hashtbl.add vars name t;
+    Vars.add vars t;
     t
 
 let fresh_counter = ref 0
@@ -152,11 +162,12 @@ let not_ t =
     (* unreachable: sort check above rejects non-Bool terms *)
     assert false
 
+module Ids = Set.Make (Int)
+
 (* Flatten, drop neutral elements, detect complementary pairs, dedupe. *)
 let assemble_nary ~is_and terms =
   let unit = if is_and then tru else fls in
   let zero = if is_and then fls else tru in
-  let module Ids = Set.Make (Int) in
   let seen = ref Ids.empty in
   let negs = ref Ids.empty in
   let short_circuit = ref false in
@@ -376,10 +387,10 @@ and pp_args fmt l = List.iter (fun t -> Format.fprintf fmt " %a" pp t) l
 let to_string t = Format.asprintf "%a" pp t
 
 let size t =
-  let seen = Hashtbl.create 64 in
+  let seen = ref Ids.empty in
   let rec go t =
-    if not (Hashtbl.mem seen t.id) then begin
-      Hashtbl.add seen t.id ();
+    if not (Ids.mem t.id !seen) then begin
+      seen := Ids.add t.id !seen;
       match t.node with
       | True | False | Var _ | Int_const _ | Rat_const _ | Bv_const _ -> ()
       | Not a | Scale (_, a) -> go a
@@ -397,4 +408,4 @@ let size t =
     end
   in
   go t;
-  Hashtbl.length seen
+  Ids.cardinal !seen

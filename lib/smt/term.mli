@@ -1,8 +1,15 @@
 (** Hash-consed SMT terms.
 
-    Terms are maximally shared: structurally equal terms are physically
-    equal, so [t1 == t2] iff they denote the same term, and each term has
-    a unique [id] usable as a key.
+    Terms are maximally shared among live terms: structurally equal
+    terms that are both reachable are physically equal, so [t1 == t2]
+    iff they denote the same term.  Each term has an [id] that is unique
+    for the lifetime of the process and never reused, so it is usable as
+    a key even in tables that outlive the term.
+
+    The hash-consing table holds its terms weakly: a term that nothing
+    references is reclaimed by the GC, and building it again later
+    yields a fresh term with a fresh id.  Whoever needs a term to keep
+    its id (a solver's Tseitin memo, say) must hold the term itself.
 
     Smart constructors perform light simplification (constant folding,
     flattening, double-negation elimination).  They also enforce sorts
@@ -51,9 +58,11 @@ val fls : t
 val bool_const : bool -> t
 
 val var : string -> Sort.t -> t
-(** [var name sort] returns the variable [name].  The same name always
-    denotes the same variable; re-declaring it at a different sort
-    raises [Invalid_argument]. *)
+(** [var name sort] returns the variable [name].  The same name denotes
+    the same variable for as long as that variable is live;
+    re-declaring a live variable at a different sort raises
+    [Invalid_argument].  A variable no term references is gone, so its
+    name may be declared afresh at any sort. *)
 
 val fresh_var : ?prefix:string -> Sort.t -> t
 (** A variable with a globally unique generated name. *)
@@ -97,3 +106,7 @@ val to_string : t -> string
 
 val size : t -> int
 (** Number of distinct subterms (DAG size). *)
+
+val live_count : unit -> int
+(** Number of terms in the hash-consing table: the live terms, plus
+    unreachable ones the GC has not yet reclaimed. *)

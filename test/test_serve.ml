@@ -213,7 +213,69 @@ let test_caches () =
   ignore (ask d query);
   let stats = ask d {|{"schema":2,"op":"stats"}|} in
   Alcotest.(check bool) "encoding cache hit on the flap" true
-    (get_int_field stats "enc_cache_hits" > 0)
+    (get_int_field stats "enc_cache_hits" > 0);
+  (* the memory fields ride along with the counters *)
+  Alcotest.(check bool) "live terms reported" true (get_int_field stats "live_terms" > 0);
+  match Option.bind (J.member "heap_mb" stats) J.get_float with
+  | Some mb -> Alcotest.(check bool) "heap reported" true (mb > 0.)
+  | None -> Alcotest.fail "stats lacks heap_mb"
+
+(* -- memory under churn ----------------------------------------------------- *)
+
+(* A single-rack ACL edit that yields a configuration the daemon has not
+   seen before without growing the text: the edited rack (one of the
+   first two, alternating) gets its base ACL headed by one deny entry
+   for a step-distinct host, so each diff touches exactly one device. *)
+let edit_rack step (t : G.Enterprise.t) (net : A.network) =
+  let victim = List.nth t.G.Enterprise.rack_role (step mod 2) in
+  let host = Net.Prefix.first (t.G.Enterprise.rack_subnet victim) + 1 + step in
+  let deny = { A.acl_action = A.Deny; acl_dst = Net.Prefix.make host 32 } in
+  let base =
+    List.find (fun (d : A.device) -> d.A.dev_name = victim) t.G.Enterprise.network.A.net_devices
+  in
+  let acls =
+    match base.A.dev_acls with
+    | acl :: rest -> { acl with A.acl_entries = deny :: acl.A.acl_entries } :: rest
+    | [] -> Alcotest.failf "rack %s has no ACL" victim
+  in
+  {
+    net with
+    A.net_devices =
+      List.map
+        (fun (d : A.device) -> if d.A.dev_name = victim then { d with A.dev_acls = acls } else d)
+        net.A.net_devices;
+  }
+
+(* A daemon under churn must not age: once its encoding cache is full,
+   every new encoding evicts an old one, and the evicted encoding's
+   terms must be reclaimed with it.  Live words after a full collection
+   at step 2N stay within a slack of those at step N. *)
+let test_heap_flat_under_churn () =
+  let t = Lazy.force base_t in
+  let query = req_query t in
+  let d = Serve.create default in
+  ignore (ask d (req_load (print_net t.G.Enterprise.network)));
+  ignore (ask d query);
+  let n = 10 in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let net = ref t.G.Enterprise.network in
+  let at_n = ref 0 in
+  for step = 1 to 2 * n do
+    net := edit_rack step t !net;
+    ignore (ask d (req_diff (print_net !net)));
+    ignore (ask d query);
+    if step = n then at_n := live_words ()
+  done;
+  let at_2n = live_words () in
+  let stats = ask d {|{"schema":2,"op":"stats"}|} in
+  Alcotest.(check int) "encoding cache full" 8 (get_int_field stats "enc_cache_size");
+  (* 10% covers allocator noise; without reclamation the heap grows by
+     one encoding's terms per step *)
+  if float_of_int at_2n > 1.10 *. float_of_int !at_n then
+    Alcotest.failf "live heap grew from %d words at step %d to %d at step %d" !at_n n at_2n (2 * n)
 
 (* -- support tracking ------------------------------------------------------- *)
 
@@ -320,6 +382,7 @@ let () =
           Alcotest.test_case "delta vs full on churn" `Slow test_delta_vs_full;
           Alcotest.test_case "verdict and encoding caches" `Slow test_caches;
           Alcotest.test_case "support tracking" `Quick test_support_tracking;
+          Alcotest.test_case "heap flat under churn" `Slow test_heap_flat_under_churn;
         ] );
       ("socket", [ Alcotest.test_case "daemon over a unix socket" `Slow test_socket_server ]);
     ]

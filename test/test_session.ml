@@ -164,6 +164,40 @@ let test_session_idempotent () =
           (verdict b))
     (List.combine first second)
 
+(* A warm session must keep reusing the Tseitin definitions of what it
+   has already blasted even after a collection: the solver owns every
+   term it has blasted, so rebuilding the same property after
+   [Gc.full_major] hits its memo instead of re-blasting.  Reachability
+   builds fresh instrumentation variables on every ask; no-blackholes
+   is built wholly from encoding terms, so it is the ask that would
+   re-blast were the memo to lose its terms. *)
+let test_warm_reuse_survives_gc () =
+  let t = G.Enterprise.make ~seed:1008 ~routers:8 ~inject:G.Enterprise.no_bugs () in
+  let net = t.G.Enterprise.network in
+  let devices = List.map (fun (d : A.device) -> d.A.dev_name) net.A.net_devices in
+  let target = List.hd (List.rev devices) in
+  let dest = MS.Property.Subnet (target, t.G.Enterprise.mgmt_prefix target) in
+  let allowed = t.G.Enterprise.edge_routers @ t.G.Enterprise.rack_role in
+  List.iter
+    (fun q ->
+      let session = MS.Verify.Session.create net MS.Options.default in
+      let ask () =
+        ignore (MS.Verify.Session.run_one session q);
+        (MS.Verify.Session.stats session).Smt.Solver.sat_vars
+      in
+      let v1 = ask () in
+      let v2 = ask () in
+      Gc.full_major ();
+      let v3 = ask () in
+      if v3 - v2 > v2 - v1 then
+        Alcotest.failf "%s: the ask after a GC added %d SAT variables, the warm ask before it %d"
+          q.MS.Verify.Query.label (v3 - v2) (v2 - v1))
+    [
+      MS.Verify.Query.v "reachability" (fun enc ->
+          MS.Property.reachability enc ~sources:devices dest);
+      MS.Verify.Query.v "no-blackholes" (fun enc -> MS.Property.no_blackholes enc ~allowed ());
+    ]
+
 let () =
   Alcotest.run "session"
     [
@@ -176,4 +210,6 @@ let () =
           Alcotest.test_case "fattree pods=2" `Quick test_fattree;
         ] );
       ("idempotence", [ Alcotest.test_case "repeat suite" `Quick test_session_idempotent ]);
+      ( "lifetime",
+        [ Alcotest.test_case "warm reuse survives a GC" `Quick test_warm_reuse_survives_gc ] );
     ]

@@ -41,7 +41,56 @@ let test_term_sort_errors () =
   (try
      ignore (T.var "ts_x" Sort.Bool);
      Alcotest.fail "expected sort clash"
-   with Invalid_argument _ -> ())
+   with Invalid_argument _ -> ());
+  (* the clash is only detected while [x] is live *)
+  ignore (Sys.opaque_identity x)
+
+(* -- term lifetime ------------------------------------------------------------ *)
+
+(* The hash-consing table is weak: sharing must survive a collection
+   while one copy is held, and a term nothing holds must go. *)
+let test_term_sharing_across_gc () =
+  let a = T.var "wk_a" Sort.Bool and n = T.var "wk_n" Sort.Int in
+  let t1 = T.and_ [ a; T.leq n (T.int_const 3) ] in
+  Gc.full_major ();
+  let t2 = T.and_ [ a; T.leq n (T.int_const 3) ] in
+  Alcotest.(check bool) "physically equal" true (t1 == t2);
+  Alcotest.(check int) "same id" (T.id t1) (T.id t2)
+
+let test_term_sort_clash_while_live () =
+  let x = T.var "wk_x" Sort.Bool in
+  Gc.full_major ();
+  Alcotest.check_raises "re-declared at Int"
+    (Invalid_argument "Term.var: wk_x re-declared at sort Int (was Bool)") (fun () ->
+      ignore (T.var "wk_x" Sort.Int));
+  ignore (Sys.opaque_identity x)
+
+(* Builds an enterprise encoding and a session, asks one query and
+   drops both; returns the live-term count while they were held. *)
+let build_and_drop () =
+  let module MS = Minesweeper in
+  let module G = Generators in
+  let t = G.Enterprise.make ~seed:3 ~routers:8 ~inject:G.Enterprise.no_bugs () in
+  let s = MS.Verify.Session.create t.G.Enterprise.network MS.Options.default in
+  let q = MS.Verify.Query.v "loops" (fun enc -> MS.Property.no_loops enc ()) in
+  ignore (MS.Verify.Session.run_one s q);
+  let held = T.live_count () in
+  ignore (Sys.opaque_identity s);
+  held
+[@@inline never]
+
+let test_term_reclaimed () =
+  Gc.full_major ();
+  let before = T.live_count () in
+  let held = build_and_drop () in
+  Gc.full_major ();
+  let after = T.live_count () in
+  if held - before < 1000 then
+    Alcotest.failf "the encoding added only %d live terms" (held - before);
+  (* a small slack for terms a module may cache for the process *)
+  if after - before > 64 then
+    Alcotest.failf "%d of %d terms outlived the dropped encoding" (after - before)
+      (held - before)
 
 (* -- propositional ------------------------------------------------------------ *)
 
@@ -456,6 +505,9 @@ let () =
         [
           Alcotest.test_case "simplify" `Quick test_term_simplify;
           Alcotest.test_case "sort errors" `Quick test_term_sort_errors;
+          Alcotest.test_case "sharing across a GC" `Quick test_term_sharing_across_gc;
+          Alcotest.test_case "sort clash while live" `Quick test_term_sort_clash_while_live;
+          Alcotest.test_case "dropped encoding reclaimed" `Quick test_term_reclaimed;
         ] );
       ("prop", [ Alcotest.test_case "basic" `Quick test_prop_basic ]);
       ( "idl",
