@@ -32,7 +32,8 @@ let has_session_to (dev : A.device) (peer : A.device) =
   | Some bgp ->
     List.exists (fun (n : A.bgp_neighbor) -> owns_ip peer n.A.nbr_ip) bgp.A.bgp_neighbors
 
-let check_neighbors (net : A.network) (dev : A.device) =
+(* [owner] is [A.device_of_ip net], indexed ({!A.address_index}). *)
+let check_neighbors owner (dev : A.device) =
   match dev.A.dev_bgp with
   | None -> []
   | Some bgp ->
@@ -58,7 +59,7 @@ let check_neighbors (net : A.network) (dev : A.device) =
                   "neighbor address %s is not on any connected subnet of this device" ip;
               ]
           in
-          match A.device_of_ip net n.A.nbr_ip with
+          match owner n.A.nbr_ip with
           | None -> subnet_diag (* an external peer: symbolic environment *)
           | Some peer ->
             (match peer.A.dev_bgp with
@@ -221,7 +222,7 @@ let check_self_subnets (dev : A.device) =
   go [] dev.A.dev_interfaces
 
 let check (net : A.network) =
-  List.concat_map (check_neighbors net) net.A.net_devices
+  List.concat_map (check_neighbors (A.address_index net)) net.A.net_devices
   @ check_router_ids net @ check_ibgp_mesh net
   @ List.concat_map check_ospf net.A.net_devices
   @ List.concat_map check_self_subnets net.A.net_devices

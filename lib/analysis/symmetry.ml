@@ -327,12 +327,13 @@ let has_ibgp (net : A.network) =
     net.A.net_devices
 
 let has_internal_static_next_hop (net : A.network) =
+  let owner = A.address_index net in
   List.exists
     (fun (d : A.device) ->
       List.exists
         (fun (s : A.static_route) ->
           match s.A.st_next_hop with
-          | Some ip -> A.device_of_ip net ip <> None
+          | Some ip -> owner ip <> None
           | None -> false)
         d.A.dev_statics)
     net.A.net_devices
@@ -341,8 +342,9 @@ let has_internal_static_next_hop (net : A.network) =
    link peer is gone, and BGP sessions whose neighbor address belongs
    to a gone device.  Without this rewriting a dangling neighbor IP
    would be re-interpreted by the encoder as a symbolic *external*
-   peer — a different network, not a smaller one. *)
-let filter_device (net : A.network) keep (dev : A.device) =
+   peer — a different network, not a smaller one.  [owner] is
+   [A.device_of_ip net], indexed ({!A.address_index}). *)
+let filter_device (net : A.network) owner keep (dev : A.device) =
   let topo = net.A.net_topology in
   let kept_iface (i : A.interface) =
     match Net.Topology.peer topo dev.A.dev_name i.A.if_name with
@@ -357,7 +359,7 @@ let filter_device (net : A.network) keep (dev : A.device) =
           A.bgp_neighbors =
             List.filter
               (fun (n : A.bgp_neighbor) ->
-                match A.device_of_ip net n.A.nbr_ip with
+                match owner n.A.nbr_ip with
                 | Some d -> keep d.A.dev_name
                 | None -> true)
               b.A.bgp_neighbors;
@@ -486,10 +488,11 @@ let reduce ?(pins = []) (net : A.network) : reduction option =
           (fun (members, r) -> List.iter (fun m -> Hashtbl.replace rep_of m r) members)
           chosen;
         let keep d = match Hashtbl.find_opt rep_of d with Some r -> r = d | None -> true in
+        let owner = A.address_index net in
         let q_devices =
           List.filter_map
             (fun (d : A.device) ->
-              if keep d.A.dev_name then Some (filter_device net keep d) else None)
+              if keep d.A.dev_name then Some (filter_device net owner keep d) else None)
             net.A.net_devices
         in
         let q_topo = Net.Topology.restrict topo ~keep in

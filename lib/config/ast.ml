@@ -146,6 +146,31 @@ let device_of_ip net ip =
         d.dev_interfaces)
     net.net_devices
 
+(** [device_index net] is [find_device net] after one pass over the
+    network: build it once, then look up in O(1). *)
+let device_index net =
+  let tbl = Hashtbl.create (2 * List.length net.net_devices) in
+  List.iter
+    (fun d -> if not (Hashtbl.mem tbl d.dev_name) then Hashtbl.add tbl d.dev_name d)
+    net.net_devices;
+  Hashtbl.find_opt tbl
+
+(** [address_index net] is [device_of_ip net] after one pass over the
+    network: the first device (in [net_devices] order) owning each
+    interface address. *)
+let address_index net =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun i ->
+          match i.if_ip with
+          | Some a when not (Hashtbl.mem tbl a) -> Hashtbl.add tbl a d
+          | Some _ | None -> ())
+        d.dev_interfaces)
+    net.net_devices;
+  Hashtbl.find_opt tbl
+
 (** Interfaces participating in OSPF on this device. *)
 let ospf_interfaces dev =
   match dev.dev_ospf with

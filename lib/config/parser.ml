@@ -500,10 +500,13 @@ let check_no_self_subnets devices =
       go d.Ast.dev_interfaces)
     devices
 
-let infer_topology devices =
+(* Link interfaces that share a connected subnet but have different
+   IPs.  Endpoints are grouped by subnet, and each pairs with the later
+   members of its group, so the links come out in the order a pairwise
+   scan of the endpoints (device by device, interface by interface)
+   would find them. *)
+let inferred_links devices =
   check_no_self_subnets devices;
-  let topo = List.fold_left (fun t (d : Ast.device) -> Net.Topology.add_device t d.Ast.dev_name) Net.Topology.empty devices in
-  (* Link interfaces that share a connected subnet but have different IPs. *)
   let endpoints =
     List.concat_map
       (fun (d : Ast.device) ->
@@ -515,25 +518,32 @@ let infer_topology devices =
           d.Ast.dev_interfaces)
       devices
   in
-  let rec pair_up acc = function
-    | [] -> acc
-    | (d1, i1, p1, ip1) :: rest ->
-      let matches =
-        List.filter
-          (fun (d2, _, p2, ip2) ->
-            d2 <> d1 && Net.Prefix.equal p1 p2 && not (Net.Ipv4.equal ip1 ip2))
-          rest
-      in
-      let acc =
-        List.fold_left
-          (fun acc (d2, i2, _, _) ->
-            Net.Topology.add_link acc
-              { Net.Topology.a = { device = d1; interface = i1 }; b = { device = d2; interface = i2 } })
-          acc matches
-      in
-      pair_up acc rest
+  (* subnet -> its endpoints not yet visited, in endpoint order *)
+  let pending : (Net.Prefix.t, (string * string * Net.Ipv4.t) list) Hashtbl.t =
+    Hashtbl.create 64
   in
-  pair_up topo endpoints
+  List.iter
+    (fun (d, i, p, ip) ->
+      Hashtbl.replace pending p
+        ((d, i, ip) :: Option.value ~default:[] (Hashtbl.find_opt pending p)))
+    (List.rev endpoints);
+  List.concat_map
+    (fun (d1, i1, p, ip1) ->
+      let later = List.tl (Hashtbl.find pending p) in
+      Hashtbl.replace pending p later;
+      List.filter_map
+        (fun (d2, i2, ip2) ->
+          if d2 <> d1 && not (Net.Ipv4.equal ip1 ip2) then
+            Some
+              { Net.Topology.a = { device = d1; interface = i1 }; b = { device = d2; interface = i2 } }
+          else None)
+        later)
+    endpoints
+
+let with_devices topo (devices : Ast.device list) =
+  List.fold_left (fun t (d : Ast.device) -> Net.Topology.add_device t d.Ast.dev_name) topo devices
+
+let infer_topology devices = with_devices (Net.Topology.of_links (inferred_links devices)) devices
 
 let parse_device text =
   let net = parse_lines text ~on_unknown_hostname:`Implicit in
@@ -544,12 +554,13 @@ let parse_device text =
 
 let parse_network text =
   let net = parse_lines text ~on_unknown_hostname:`Error in
-  let topo = infer_topology net.devices in
-  let topo =
-    List.fold_left
-      (fun t (d1, i1, d2, i2) ->
-        Net.Topology.add_link t
-          { Net.Topology.a = { device = d1; interface = i1 }; b = { device = d2; interface = i2 } })
-      topo net.links
+  (* [net.links] is newest first: explicit links follow the inferred
+     ones in that order *)
+  let explicit =
+    List.map
+      (fun (d1, i1, d2, i2) ->
+        { Net.Topology.a = { device = d1; interface = i1 }; b = { device = d2; interface = i2 } })
+      net.links
   in
-  { Ast.net_devices = net.devices; net_topology = topo }
+  let topo = Net.Topology.of_links (inferred_links net.devices @ explicit) in
+  { Ast.net_devices = net.devices; net_topology = with_devices topo net.devices }

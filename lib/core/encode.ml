@@ -25,6 +25,10 @@ type device_enc = {
 
 type t = {
   net : A.network;
+  (* [A.find_device net] and [A.device_of_ip net], indexed once per
+     encoding *)
+  device_named : string -> A.device option;
+  owner_of : Ipv4.t -> A.device option;
   opts : Options.t;
   feats : Features.t;
   pkt : Packet.t;
@@ -99,20 +103,20 @@ let internal_neighbors t d =
     (List.map (fun (_, p, _) -> p) (Net.Topology.neighbors t.net.A.net_topology d))
 
 let subnets t d =
-  match A.find_device t.net d with Some dev -> A.connected_prefixes dev | None -> []
+  match t.device_named d with Some dev -> A.connected_prefixes dev | None -> []
 
 let hops t d =
   let ext = List.map (fun (p, _) -> Nexthop.To_external p) (external_peers t d) in
   let ints = List.map (fun n -> Nexthop.To_device n) (internal_neighbors t d) in
   (* static routes can point at external peers that are not BGP sessions *)
   let static_ext =
-    match A.find_device t.net d with
+    match t.device_named d with
     | None -> []
     | Some dev ->
       List.filter_map
         (fun (s : A.static_route) ->
           match s.A.st_next_hop with
-          | Some hopip when A.device_of_ip t.net hopip = None ->
+          | Some hopip when t.owner_of hopip = None ->
             if List.exists (fun p -> Prefix.contains p hopip) (A.connected_prefixes dev) then
               Some (Nexthop.To_external ("peer:" ^ Ipv4.to_string hopip))
             else None
@@ -172,7 +176,7 @@ let bgp_sessions t (dev : A.device) =
   | Some bgp ->
     List.map
       (fun (n : A.bgp_neighbor) ->
-        match A.device_of_ip t.net n.A.nbr_ip with
+        match t.owner_of n.A.nbr_ip with
         | Some d2 when d2.A.dev_name <> dev.A.dev_name ->
           let ibgp =
             match d2.A.dev_bgp with Some b2 -> b2.A.bgp_asn = bgp.A.bgp_asn | None -> false
@@ -210,6 +214,8 @@ let rec build_general (net : A.network) (opts : Options.t) ~igp_only ~suffix ~ds
   let t =
     {
       net;
+      device_named = A.device_index net;
+      owner_of = A.address_index net;
       opts;
       feats;
       pkt;
@@ -399,7 +405,7 @@ and build_device_candidates t (dev : A.device) =
           match (s.A.st_next_hop, s.A.st_interface) with
           | None, (Some _ | None) -> Nexthop.To_drop
           | Some hopip, _ ->
-            (match A.device_of_ip t.net hopip with
+            (match t.owner_of hopip with
              | Some d2 when d2.A.dev_name <> d -> Nexthop.To_device d2.A.dev_name
              | Some _ -> Nexthop.To_deliver
              | None ->
@@ -443,7 +449,7 @@ and build_device_candidates t (dev : A.device) =
      let imports =
        List.filter_map
          (fun (local_if, peer_name, peer_if) ->
-           match A.find_device t.net peer_name with
+           match t.device_named peer_name with
            | None -> None
            | Some peer ->
              let local_ok =
@@ -630,7 +636,7 @@ and bgp_session_candidate t s =
     Hashtbl.replace t.import_ext_tbl (d, peer) imported;
     Some { rec_ = imported; hop = Fixed (Nexthop.To_external peer); proto = A.Pbgp }
   | `Internal (peer_name, is_ibgp) ->
-    (match (A.find_device t.net peer_name, Hashtbl.find_opt t.dev_enc peer_name) with
+    (match (t.device_named peer_name, Hashtbl.find_opt t.dev_enc peer_name) with
      | Some peer_dev, Some peer_enc ->
        (match peer_enc.best_bgp with
         | None -> None
@@ -879,7 +885,7 @@ and fwd_within t enc (best : Sym_record.t) cands h =
              let owner =
                Option.map
                  (fun (dev : A.device) -> dev.A.dev_name)
-                 (A.device_of_ip t.net (Ipv4.of_string key))
+                 (t.owner_of (Ipv4.of_string key))
              in
              let base =
                match h with
@@ -951,7 +957,7 @@ and build_forwarding t (dev : A.device) =
            | None -> T.tru
            | Some (out_if, in_if) ->
              Filter.link_acl_permits t.pkt ~dev ~out_iface:(Some out_if)
-               ~peer:(A.find_device t.net n) ~in_iface:(Some in_if))
+               ~peer:(t.device_named n) ~in_iface:(Some in_if))
         | Nexthop.To_external peer ->
           (* out-ACL on the interface facing the peer *)
           let peer_ip =

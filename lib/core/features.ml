@@ -47,6 +47,7 @@ let mentioned_communities (net : A.network) ~matched_only =
   |> List.sort Net.Community.compare
 
 let has_ibgp (net : A.network) =
+  let owner = A.address_index net in
   List.exists
     (fun (d : A.device) ->
       match d.A.dev_bgp with
@@ -54,7 +55,7 @@ let has_ibgp (net : A.network) =
       | Some bgp ->
         List.exists
           (fun (n : A.bgp_neighbor) ->
-            match A.device_of_ip net n.A.nbr_ip with
+            match owner n.A.nbr_ip with
             | Some d2 when d2.A.dev_name <> d.A.dev_name ->
               (match d2.A.dev_bgp with
                | Some b2 -> b2.A.bgp_asn = bgp.A.bgp_asn

@@ -404,11 +404,11 @@ let make ?bulk ~seed ~routers ~inject () =
   in
   let devs = List.map finish names in
   let topo =
-    List.fold_left
-      (fun t (a, ia, b, ib) ->
-        Net.Topology.add_link t
-          { Net.Topology.a = { device = a; interface = ia }; b = { device = b; interface = ib } })
-      Net.Topology.empty !links
+    Net.Topology.of_links
+      (List.map
+         (fun (a, ia, b, ib) ->
+           { Net.Topology.a = { device = a; interface = ia }; b = { device = b; interface = ib } })
+         !links)
   in
   {
     network = { A.net_devices = devs; net_topology = topo };

@@ -218,11 +218,11 @@ let make ~pods =
   let names = List.rev !order in
   let devs = List.map finish names in
   let topo =
-    List.fold_left
-      (fun t (a, ia, b, ib) ->
-        Net.Topology.add_link t
-          { Net.Topology.a = { device = a; interface = ia }; b = { device = b; interface = ib } })
-      Net.Topology.empty !links
+    Net.Topology.of_links
+      (List.map
+         (fun (a, ia, b, ib) ->
+           { Net.Topology.a = { device = a; interface = ia }; b = { device = b; interface = ib } })
+         !links)
   in
   let network = { A.net_devices = devs; net_topology = topo } in
   let is_prefix pre name = String.length name >= String.length pre && String.sub name 0 (String.length pre) = pre in

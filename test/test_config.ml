@@ -208,6 +208,111 @@ let test_roundtrip_generators () =
       Alcotest.(check string) (name ^ ": print fixpoint") printed (Printer.network_to_string net2))
     nets
 
+(* -- inferred link order ------------------------------------------------------ *)
+
+(* The pairwise scan the parser used before it grouped endpoints by
+   subnet: every endpoint against every later one, links added one at a
+   time, then the explicit [link] lines newest first.  The oracle for
+   the parser's link order. *)
+let pairwise_topology text =
+  let devices = (Parser.parse_network text).A.net_devices in
+  let topo =
+    List.fold_left
+      (fun t (d : A.device) -> Net.Topology.add_device t d.A.dev_name)
+      Net.Topology.empty devices
+  in
+  let link d1 i1 d2 i2 =
+    { Net.Topology.a = { device = d1; interface = i1 }; b = { device = d2; interface = i2 } }
+  in
+  let endpoints =
+    List.concat_map
+      (fun (d : A.device) ->
+        List.filter_map
+          (fun (i : A.interface) ->
+            match (i.A.if_prefix, i.A.if_ip) with
+            | Some p, Some ip -> Some (d.A.dev_name, i.A.if_name, p, ip)
+            | _ -> None)
+          d.A.dev_interfaces)
+      devices
+  in
+  let rec pair_up acc = function
+    | [] -> acc
+    | (d1, i1, p1, ip1) :: rest ->
+      let matches =
+        List.filter
+          (fun (d2, _, p2, ip2) ->
+            d2 <> d1 && Net.Prefix.equal p1 p2 && not (Net.Ipv4.equal ip1 ip2))
+          rest
+      in
+      let acc =
+        List.fold_left (fun acc (d2, i2, _, _) -> Net.Topology.add_link acc (link d1 i1 d2 i2)) acc matches
+      in
+      pair_up acc rest
+  in
+  let explicit =
+    List.filter_map
+      (fun line ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' (String.trim line)) with
+        | [ "link"; d1; i1; d2; i2 ] -> Some (link d1 i1 d2 i2)
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  in
+  List.fold_left Net.Topology.add_link (pair_up topo endpoints) (List.rev explicit)
+
+let check_link_order name text =
+  let topo = (Parser.parse_network text).A.net_topology and oracle = pairwise_topology text in
+  Alcotest.(check (list string)) (name ^ ": devices") (Net.Topology.devices oracle)
+    (Net.Topology.devices topo);
+  Alcotest.(check bool) (name ^ ": links, in order") true
+    (Net.Topology.links oracle = Net.Topology.links topo)
+
+(* Three routers on one subnet, plus a fourth reusing one of their
+   addresses (never linked to its twin), with explicit lines that
+   repeat inferred links in both orientations and add one more. *)
+let shared_subnet_config =
+  {|hostname A
+interface e0
+ ip address 10.0.0.1/24
+interface e1
+ ip address 10.1.0.1/30
+!
+hostname B
+interface e0
+ ip address 10.0.0.2/24
+interface e1
+ ip address 10.1.0.2/30
+!
+hostname C
+interface e0
+ ip address 10.0.0.3/24
+!
+hostname D
+interface e0
+ ip address 10.0.0.1/24
+!
+link C e0 A e0
+link B e0 C e0
+link A e2 C e2
+link A e1 B e1
+|}
+
+let test_link_order () =
+  List.iter
+    (fun pods ->
+      check_link_order (Printf.sprintf "fattree pods=%d" pods)
+        (Printer.network_to_string (Generators.Fattree.make ~pods).Generators.Fattree.network))
+    [ 2; 4; 6 ];
+  let fleet = Array.of_list (Generators.Enterprise.fleet ()) in
+  let rng = Random.State.make [| 503 |] in
+  for _ = 1 to 8 do
+    let i = Random.State.int rng (Array.length fleet) in
+    check_link_order (Printf.sprintf "fleet network %d" i)
+      (Printer.network_to_string fleet.(i).Generators.Enterprise.network)
+  done;
+  check_link_order "shared subnet" shared_subnet_config;
+  Alcotest.(check int) "shared subnet: link count" 7
+    (Net.Topology.num_links (Parser.parse_network shared_subnet_config).A.net_topology)
+
 let () =
   Alcotest.run "config"
     [
@@ -221,6 +326,7 @@ let () =
           Alcotest.test_case "error location" `Quick test_parse_error_location;
           Alcotest.test_case "shared subnet rejected" `Quick test_reject_shared_subnet;
           Alcotest.test_case "network inference" `Quick test_network_inference;
+          Alcotest.test_case "link order" `Quick test_link_order;
         ] );
       ( "semantics",
         [ Alcotest.test_case "prefix-list" `Quick test_prefix_list_semantics ] );

@@ -313,6 +313,27 @@ let test_slicing_shrinks () =
     (Printf.sprintf "sliced %d < naive %d" sliced_size naive_size)
     true (sliced_size < naive_size)
 
+(* Encoding size pinned to the values recorded before the encoder
+   looked devices up through per-build name and address indexes: the
+   indexes must not change a single assertion.  The fleet networks
+   (picked by a seeded draw) exercise iBGP copies and static next hops;
+   the quotient exercises the reduced network's filtered sessions. *)
+let test_stats_pinned () =
+  let check name ?pins net opts expected =
+    Alcotest.(check (pair int int)) name expected (MS.Encode.stats (MS.Encode.build ?pins net opts))
+  in
+  let ft = (Generators.Fattree.make ~pods:4).Generators.Fattree.network in
+  check "fattree pods=4" ft default (289, 10668);
+  check "fattree pods=4 quotient" ~pins:[ "tor_1_0" ] ft (MS.Options.with_symmetry default) (77, 2333);
+  let fleet = Array.of_list (Generators.Enterprise.fleet ()) in
+  let rng = Random.State.make [| 18 |] in
+  List.iter
+    (fun expected ->
+      let i = Random.State.int rng (Array.length fleet) in
+      check (Printf.sprintf "fleet network %d" i) fleet.(i).Generators.Enterprise.network default
+        expected)
+    [ (567, 31031); (952, 51000); (600, 34183) ]
+
 let () =
   Alcotest.run "encode"
     [
@@ -321,6 +342,10 @@ let () =
       ("aggregation", [ Alcotest.test_case "export length" `Quick test_aggregation ]);
       ("preferences", [ Alcotest.test_case "neighbor order" `Quick test_neighbor_preference ]);
       ("multipath", [ Alcotest.test_case "figure 6a" `Quick test_multipath_inconsistency ]);
-      ("stats", [ Alcotest.test_case "slicing shrinks" `Quick test_slicing_shrinks ]);
+      ( "stats",
+        [
+          Alcotest.test_case "slicing shrinks" `Quick test_slicing_shrinks;
+          Alcotest.test_case "pinned sizes" `Quick test_stats_pinned;
+        ] );
       ("ebgp", [ Alcotest.test_case "session needs a link" `Quick test_ebgp_needs_link ]);
     ]
