@@ -54,10 +54,12 @@ lint: build
 
 # Long-budget differential fuzzing: QCheck mutations of generated
 # enterprise/fattree configurations, verified with --certify and
-# cross-checked against the concrete simulator.  `dune runtest` runs
-# the same property with a small bounded sample; this raises it.
+# cross-checked against the concrete simulator, plus the certified
+# audit of the whole 152-network fleet (every verdict replays and
+# matches its injection label).  `dune runtest` runs the same
+# properties with small bounded samples; this raises them.
 fuzz: build
-	MS_FUZZ_COUNT=$${MS_FUZZ_COUNT:-60} dune exec test/test_fuzz.exe
+	MS_FUZZ_COUNT=$${MS_FUZZ_COUNT:-60} MS_FUZZ_FLEET=$${MS_FUZZ_FLEET:-152} dune exec test/test_fuzz.exe
 
 # Line/branch coverage of the test suite via bisect_ppx.  The library
 # stanzas carry `(instrumentation (backend bisect_ppx))`, which is

@@ -8,6 +8,7 @@
     - MS-E302: neighbor address belongs to a device that runs no BGP
     - MS-E303: two interfaces on one device share a subnet
     - MS-E304: neighbor address is one of the device's own interfaces
+    - MS-E305: several devices share one hostname
     - MS-W301: one-sided session (peer has no matching neighbor statement)
     - MS-W302: duplicate BGP router-id
     - MS-W303: iBGP group neither fully meshed nor covered by a route reflector
@@ -19,71 +20,93 @@ module D = Diagnostic
 module P = Net.Prefix
 module Ip = Net.Ipv4
 
-let interface_ips (dev : A.device) =
-  List.filter_map (fun (i : A.interface) -> i.A.if_ip) dev.A.dev_interfaces
+(* Address lookups shared by the checks, built once per network:
+   [owner] is [A.device_of_ip net] ({!A.address_index}); [owns_ip dev ip]
+   tests [dev]'s own interface addresses; [has_session_to dev peer] holds
+   when [dev] has a neighbor statement at one of [peer]'s addresses. *)
+type index = {
+  owner : Ip.t -> A.device option;
+  owns_ip : A.device -> Ip.t -> bool;
+  has_session_to : A.device -> A.device -> bool;
+}
 
-let owns_ip (dev : A.device) ip = List.exists (Ip.equal ip) (interface_ips dev)
+let index (net : A.network) =
+  let owners = Hashtbl.create 64 in
+  List.iter
+    (fun (d : A.device) ->
+      List.iter
+        (fun (i : A.interface) ->
+          Option.iter (fun ip -> Hashtbl.add owners ip d.A.dev_name) i.A.if_ip)
+        d.A.dev_interfaces)
+    net.A.net_devices;
+  let sessions = Hashtbl.create 64 in
+  List.iter
+    (fun (d : A.device) ->
+      Option.iter
+        (fun (bgp : A.bgp_config) ->
+          List.iter
+            (fun (n : A.bgp_neighbor) ->
+              List.iter
+                (fun peer -> Hashtbl.replace sessions (d.A.dev_name, peer) ())
+                (Hashtbl.find_all owners n.A.nbr_ip))
+            bgp.A.bgp_neighbors)
+        d.A.dev_bgp)
+    net.A.net_devices;
+  {
+    owner = A.address_index net;
+    owns_ip = (fun dev ip -> List.mem dev.A.dev_name (Hashtbl.find_all owners ip));
+    has_session_to =
+      (fun dev peer -> Hashtbl.mem sessions (dev.A.dev_name, peer.A.dev_name));
+  }
 
-(* Does [dev] have a neighbor statement pointing at one of [peer]'s
-   interface addresses? *)
-let has_session_to (dev : A.device) (peer : A.device) =
-  match dev.A.dev_bgp with
-  | None -> false
-  | Some bgp ->
-    List.exists (fun (n : A.bgp_neighbor) -> owns_ip peer n.A.nbr_ip) bgp.A.bgp_neighbors
-
-(* [owner] is [A.device_of_ip net], indexed ({!A.address_index}). *)
-let check_neighbors owner (dev : A.device) =
+let check_neighbors idx (dev : A.device) =
   match dev.A.dev_bgp with
   | None -> []
   | Some bgp ->
+    let d = dev.A.dev_name in
+    let subnets = A.connected_prefixes dev in
     List.concat_map
       (fun (n : A.bgp_neighbor) ->
-        let d = dev.A.dev_name in
-        let ip = Ip.to_string n.A.nbr_ip in
-        let obj = Printf.sprintf "neighbor %s" ip in
-        if owns_ip dev n.A.nbr_ip then
+        let ip () = Ip.to_string n.A.nbr_ip in
+        let diag code severity = D.make ~code ~severity ~device:d ~obj:("neighbor " ^ ip ()) in
+        if idx.owns_ip dev n.A.nbr_ip then
           [
-            D.make ~code:"MS-E304" ~severity:D.Error ~device:d ~obj
-              "neighbor address %s is one of this device's own interfaces" ip;
+            diag "MS-E304" D.Error "neighbor address %s is one of this device's own interfaces"
+              (ip ());
           ]
         else
-          let on_subnet =
-            List.exists (fun p -> P.contains p n.A.nbr_ip) (A.connected_prefixes dev)
-          in
           let subnet_diag =
-            if on_subnet then []
+            if List.exists (fun p -> P.contains p n.A.nbr_ip) subnets then []
             else
               [
-                D.make ~code:"MS-W305" ~severity:D.Warning ~device:d ~obj
-                  "neighbor address %s is not on any connected subnet of this device" ip;
+                diag "MS-W305" D.Warning
+                  "neighbor address %s is not on any connected subnet of this device" (ip ());
               ]
           in
-          match owner n.A.nbr_ip with
+          match idx.owner n.A.nbr_ip with
           | None -> subnet_diag (* an external peer: symbolic environment *)
           | Some peer ->
             (match peer.A.dev_bgp with
              | None ->
                subnet_diag
                @ [
-                   D.make ~code:"MS-E302" ~severity:D.Error ~device:d ~obj
-                     "neighbor %s belongs to %s, which runs no BGP" ip peer.A.dev_name;
+                   diag "MS-E302" D.Error "neighbor %s belongs to %s, which runs no BGP" (ip ())
+                     peer.A.dev_name;
                  ]
              | Some peer_bgp ->
                let as_diag =
                  if n.A.nbr_remote_as <> peer_bgp.A.bgp_asn then
                    [
-                     D.make ~code:"MS-E301" ~severity:D.Error ~device:d ~obj
-                       "remote-as %d, but %s is configured as AS %d" n.A.nbr_remote_as
-                       peer.A.dev_name peer_bgp.A.bgp_asn;
+                     diag "MS-E301" D.Error "remote-as %d, but %s is configured as AS %d"
+                       n.A.nbr_remote_as peer.A.dev_name peer_bgp.A.bgp_asn;
                    ]
                  else []
                in
                let reciprocal_diag =
-                 if has_session_to peer dev then []
+                 if idx.has_session_to peer dev then []
                  else
                    [
-                     D.make ~code:"MS-W301" ~severity:D.Warning ~device:d ~obj
+                     diag "MS-W301" D.Warning
                        "one-sided session: %s has no neighbor statement back to this device"
                        peer.A.dev_name;
                    ]
@@ -118,7 +141,7 @@ let check_router_ids (net : A.network) =
 (* iBGP groups: devices sharing an ASN must be fully meshed, or every
    non-reflector must be a client of a route reflector (and reflectors
    meshed among themselves). *)
-let check_ibgp_mesh (net : A.network) =
+let check_ibgp_mesh idx (net : A.network) =
   let bgp_devs =
     List.filter_map
       (fun (d : A.device) -> Option.map (fun b -> (d, b)) d.A.dev_bgp)
@@ -130,7 +153,7 @@ let check_ibgp_mesh (net : A.network) =
       let group = List.filter (fun (_, b) -> b.A.bgp_asn = asn) bgp_devs in
       if List.length group < 2 then None
       else begin
-        let connected (a, _) (b, _) = has_session_to a b && has_session_to b a in
+        let connected (a, _) (b, _) = idx.has_session_to a b && idx.has_session_to b a in
         (* diagonal skip by device name — identity (==) on config
            records would silently stop matching if a device were ever
            re-parsed or copied between the two lists *)
@@ -139,7 +162,7 @@ let check_ibgp_mesh (net : A.network) =
           List.exists
             (fun (n : A.bgp_neighbor) ->
               n.A.nbr_rr_client
-              && List.exists (fun (d2, _) -> d2.A.dev_name <> d.A.dev_name && owns_ip d2 n.A.nbr_ip) group)
+              && List.exists (fun (d2, _) -> d2.A.dev_name <> d.A.dev_name && idx.owns_ip d2 n.A.nbr_ip) group)
             b.A.bgp_neighbors
         in
         let rrs = List.filter is_rr group in
@@ -221,8 +244,29 @@ let check_self_subnets (dev : A.device) =
   in
   go [] dev.A.dev_interfaces
 
+(* A hostname names one device: sessions, links and encodings all key
+   devices by name. *)
+let check_hostnames (net : A.network) =
+  let count = Hashtbl.create 64 in
+  List.iter
+    (fun (d : A.device) ->
+      let n = Option.value (Hashtbl.find_opt count d.A.dev_name) ~default:0 in
+      Hashtbl.replace count d.A.dev_name (n + 1))
+    net.A.net_devices;
+  Hashtbl.fold
+    (fun name n acc ->
+      if n < 2 then acc
+      else
+        D.make ~code:"MS-E305" ~severity:D.Error ~device:name
+          ~obj:(Printf.sprintf "hostname %s" name)
+          "hostname %s names %d devices" name n
+        :: acc)
+    count []
+
 let check (net : A.network) =
-  List.concat_map (check_neighbors (A.address_index net)) net.A.net_devices
-  @ check_router_ids net @ check_ibgp_mesh net
+  let idx = index net in
+  check_hostnames net
+  @ List.concat_map (check_neighbors idx) net.A.net_devices
+  @ check_router_ids net @ check_ibgp_mesh idx net
   @ List.concat_map check_ospf net.A.net_devices
   @ List.concat_map check_self_subnets net.A.net_devices

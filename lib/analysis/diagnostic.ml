@@ -100,6 +100,7 @@ let known_codes =
     ("MS-E302", "BGP neighbor address belongs to a device that runs no BGP");
     ("MS-E303", "two interfaces of one device share a subnet");
     ("MS-E304", "BGP neighbor address is one of the device's own interfaces");
+    ("MS-E305", "several devices share one hostname");
     ("MS-W101", "route-map defined but never applied");
     ("MS-W102", "prefix-list defined but never matched");
     ("MS-W103", "access-list defined but never applied");

@@ -1,5 +1,6 @@
 module T = Smt.Term
 module A = Config.Ast
+module Sem = Config.Semantics
 module Prefix = Net.Prefix
 module Ipv4 = Net.Ipv4
 
@@ -152,15 +153,19 @@ let const_prefix_term t (p : Prefix.t) =
   if t.opts.Options.hoist_prefixes then None
   else Some (T.bv_const ~width:32 (Prefix.network p))
 
-(* A record representing a locally originated prefix. *)
-let origin_record t ~name ~(p : Prefix.t) ~ad ~metric =
-  derived ~name
+(* A record entering a protocol here with the shared start attributes
+   [a]: validity and prefix come from the source. *)
+let entry_record t ~name ~valid ~plen ~prefix (a : Sem.attributes) =
+  derived ~name ~valid ~plen ~prefix ~ad:(T.int_const a.Sem.ad) ~lp:(T.int_const a.Sem.lp)
+    ~metric:(T.int_const a.Sem.metric) ~med:(T.int_const a.Sem.med) ~bgp_internal:T.fls
+    ~comms:(all_false_comms t.feats)
+
+(* A record representing a prefix originated into [proto] here. *)
+let origin_record t ~name ~(p : Prefix.t) proto =
+  entry_record t ~name
     ~valid:(Packet.dst_in_prefix t.pkt p)
     ~plen:(T.int_const (Prefix.length p))
-    ~prefix:(const_prefix_term t p) ~ad:(T.int_const ad)
-    ~lp:(T.int_const Sym_record.default_lp) ~metric:(T.int_const metric) ~med:(T.int_const 0)
-    ~bgp_internal:T.fls
-    ~comms:(all_false_comms t.feats)
+    ~prefix:(const_prefix_term t p) (Sem.originated proto)
 
 (* -- BGP session discovery ------------------------------------------------------------ *)
 
@@ -390,8 +395,7 @@ and build_device_candidates t (dev : A.device) =
           Some
             {
               rec_ =
-                origin_record t ~name:(nm "conn.%s" i.A.if_name) ~p
-                  ~ad:(A.default_ad A.Pconnected) ~metric:0;
+                origin_record t ~name:(nm "conn.%s" i.A.if_name) ~p A.Pconnected;
               hop = Fixed Nexthop.To_deliver;
               proto = A.Pconnected;
             }
@@ -414,8 +418,7 @@ and build_device_candidates t (dev : A.device) =
                else Nexthop.To_drop)
         in
         let base =
-          origin_record t ~name:(nm "static.%d" idx) ~p:s.A.st_prefix
-            ~ad:(A.default_ad A.Pstatic) ~metric:0
+          origin_record t ~name:(nm "static.%d" idx) ~p:s.A.st_prefix A.Pstatic
         in
         let valid =
           match hop with
@@ -438,8 +441,7 @@ and build_device_candidates t (dev : A.device) =
              Some
                {
                  rec_ =
-                   origin_record t ~name:(nm "ospf.net.%s" i.A.if_name) ~p
-                     ~ad:(A.default_ad A.Pospf) ~metric:0;
+                   origin_record t ~name:(nm "ospf.net.%s" i.A.if_name) ~p A.Pospf;
                  hop = Fixed Nexthop.To_deliver;
                  proto = A.Pospf;
                }
@@ -466,20 +468,19 @@ and build_device_candidates t (dev : A.device) =
                  (match peer_enc.best_ospf with
                   | None -> None
                   | Some peer_best ->
-                    let cost =
-                      match A.find_interface dev local_if with Some i -> i.A.if_cost | None -> 1
-                    in
                     let r =
-                      derived
-                        ~name:(nm "ospf.in.%s" peer_name)
-                        ~valid:
-                          (T.and_ [ peer_best.Sym_record.valid; T.not_ (failed t d peer_name) ])
-                        ~plen:peer_best.Sym_record.plen ~prefix:peer_best.Sym_record.prefix
-                        ~ad:(T.int_const (A.default_ad A.Pospf))
-                        ~lp:(T.int_const Sym_record.default_lp)
-                        ~metric:(T.add peer_best.Sym_record.metric (T.int_const cost))
-                        ~med:(T.int_const 0) ~bgp_internal:T.fls
-                        ~comms:(all_false_comms t.feats)
+                      {
+                        (entry_record t
+                           ~name:(nm "ospf.in.%s" peer_name)
+                           ~valid:
+                             (T.and_ [ peer_best.Sym_record.valid; T.not_ (failed t d peer_name) ])
+                           ~plen:peer_best.Sym_record.plen ~prefix:peer_best.Sym_record.prefix
+                           (Sem.originated A.Pospf))
+                        with
+                        Sym_record.metric =
+                          T.add peer_best.Sym_record.metric
+                            (T.int_const (Sem.ospf_cost dev local_if));
+                      }
                     in
                     Some { rec_ = r; hop = Fixed (Nexthop.To_device peer_name); proto = A.Pospf })
              end)
@@ -512,9 +513,7 @@ and build_device_candidates t (dev : A.device) =
               Some
                 {
                   rec_ =
-                    origin_record t
-                      ~name:(nm "bgp.net.%s" (Prefix.to_string p))
-                      ~p ~ad:(A.default_ad A.Pbgp) ~metric:0;
+                    origin_record t ~name:(nm "bgp.net.%s" (Prefix.to_string p)) ~p A.Pbgp;
                   hop = Fixed Nexthop.To_deliver;
                   proto = A.Pbgp;
                 })
@@ -536,22 +535,10 @@ and build_device_candidates t (dev : A.device) =
    static, each direct candidate individually. *)
 and redistributed_candidates t enc ~into (rd : A.redistribute) =
   let d = enc.dev.A.dev_name in
-  let target_ad = A.default_ad into in
+  let attrs = Sem.redistributed ~into rd in
   let mk ~name ~(src : Sym_record.t) =
-    match into with
-    | A.Pospf ->
-      derived ~name ~valid:src.Sym_record.valid ~plen:src.Sym_record.plen
-        ~prefix:src.Sym_record.prefix ~ad:(T.int_const target_ad)
-        ~lp:(T.int_const Sym_record.default_lp)
-        ~metric:(T.int_const (Option.value rd.A.rd_metric ~default:20))
-        ~med:(T.int_const 0) ~bgp_internal:T.fls ~comms:(all_false_comms t.feats)
-    | A.Pbgp ->
-      derived ~name ~valid:src.Sym_record.valid ~plen:src.Sym_record.plen
-        ~prefix:src.Sym_record.prefix ~ad:(T.int_const target_ad)
-        ~lp:(T.int_const Sym_record.default_lp) ~metric:(T.int_const 0)
-        ~med:(T.int_const (Option.value rd.A.rd_metric ~default:0))
-        ~bgp_internal:T.fls ~comms:(all_false_comms t.feats)
-    | A.Pconnected | A.Pstatic -> invalid_arg "redistribution target must be OSPF or BGP"
+    entry_record t ~name ~valid:src.Sym_record.valid ~plen:src.Sym_record.plen
+      ~prefix:src.Sym_record.prefix attrs
   in
   let into_str = A.protocol_to_string into in
   match rd.A.rd_from with
@@ -607,7 +594,7 @@ and bgp_session_candidate t s =
     let env =
       Sym_record.fresh t.opts t.feats
         ~name:(Printf.sprintf "env%s.%s.%s" t.suffix d peer)
-        ~ad:(A.default_ad A.Pbgp) ~rid:0 ~bgp_internal:false
+        ~ad:(Sem.bgp_ad ~internal:false) ~rid:0 ~bgp_internal:false
     in
     emit t (Sym_record.well_formed t.pkt env);
     emit t
@@ -615,10 +602,10 @@ and bgp_session_candidate t s =
          (T.and_
             [
               T.geq env.Sym_record.metric (T.int_const 0);
-              T.leq env.Sym_record.metric (T.int_const 254);
+              T.leq env.Sym_record.metric (T.int_const (Sem.max_path_length - 1));
               T.geq env.Sym_record.med (T.int_const 0);
               T.leq env.Sym_record.med (T.int_const 65535);
-              T.eq env.Sym_record.lp (T.int_const Sym_record.default_lp);
+              T.eq env.Sym_record.lp (T.int_const Sem.default_lp);
             ]));
     Hashtbl.replace t.env_tbl (d, peer) env;
     let pre =
@@ -631,7 +618,7 @@ and bgp_session_candidate t s =
     in
     let imported =
       apply_import t dev ~rm:s.s_nbr.A.nbr_rm_in ~src:pre ~name:(nm "bgp.in.%s" peer)
-        ~ad:(A.default_ad A.Pbgp) ~bgp_internal:false
+        ~ad:(Sem.bgp_ad ~internal:false) ~bgp_internal:false
     in
     Hashtbl.replace t.import_ext_tbl (d, peer) imported;
     Some { rec_ = imported; hop = Fixed (Nexthop.To_external peer); proto = A.Pbgp }
@@ -669,8 +656,7 @@ and bgp_session_candidate t s =
           let imported =
             apply_import t dev ~rm:s.s_nbr.A.nbr_rm_in ~src:pre
               ~name:(nm "bgp.in.%s" peer_name)
-              ~ad:(if is_ibgp then A.ibgp_ad else A.default_ad A.Pbgp)
-              ~bgp_internal:is_ibgp
+              ~ad:(Sem.bgp_ad ~internal:is_ibgp) ~bgp_internal:is_ibgp
           in
           Hashtbl.replace t.import_int_tbl (d, peer_name) imported;
           let hop =
@@ -698,20 +684,22 @@ and apply_import t (dev : A.device) ~rm ~(src : Sym_record.t) ~name ~ad ~bgp_int
     List.iter (emit t) (Filter.route_map_constraints dev t.pkt ~rm:rm_ast ~pass:T.tru ~src ~dst);
     dst
 
-(* Export from a BGP process toward a peer: iBGP re-export rules, metric
-   increment and attribute resets for eBGP, aggregation length rewrite,
-   and the neighbor's out-map. *)
+(* Export from a BGP process toward a peer: the shared export rule
+   (re-advertisement, path increment and bound, attribute resets),
+   aggregation length rewrite, and the neighbor's out-map. *)
 and build_bgp_export t ~(sender : A.device) ~(best : Sym_record.t) ~out_map ~is_ibgp ~name =
   let bgp = Option.get sender.A.dev_bgp in
-  let sender_is_rr =
-    List.exists (fun (n : A.bgp_neighbor) -> n.A.nbr_rr_client) bgp.A.bgp_neighbors
+  let rule = Sem.export ~sender:bgp ~ibgp:is_ibgp in
+  let metric = T.add best.Sym_record.metric (T.int_const rule.Sem.path_increment) in
+  let reset field = function Some v -> T.int_const v | None -> field in
+  let pass =
+    T.and_
+      [
+        best.Sym_record.valid;
+        (if rule.Sem.exports_internal then T.tru else T.not_ best.Sym_record.bgp_internal);
+        (match rule.Sem.max_path with Some m -> T.leq metric (T.int_const m) | None -> T.tru);
+      ]
   in
-  let allow =
-    if is_ibgp then
-      if sender_is_rr then T.tru else T.not_ best.Sym_record.bgp_internal
-    else T.leq (T.add best.Sym_record.metric (T.int_const 1)) (T.int_const 255)
-  in
-  let pass = T.and_ [ best.Sym_record.valid; allow ] in
   (* §4 aggregation: a route covered by an announced aggregate leaves
      with the (shorter) aggregate length. *)
   let plen_term =
@@ -743,25 +731,22 @@ and build_bgp_export t ~(sender : A.device) ~(best : Sym_record.t) ~out_map ~is_
       v
   in
   let pre =
-    if is_ibgp then
-      { best with Sym_record.name = name ^ ".pre"; valid = pass; plen = plen_term; bgp_internal = T.tru }
-    else
-      {
-        best with
-        Sym_record.name = name ^ ".pre";
-        valid = pass;
-        plen = plen_term;
-        metric = T.add best.Sym_record.metric (T.int_const 1);
-        lp = T.int_const Sym_record.default_lp;
-        med = T.int_const 0;
-        bgp_internal = T.fls;
-      }
+    {
+      best with
+      Sym_record.name = name ^ ".pre";
+      valid = pass;
+      plen = plen_term;
+      metric;
+      lp = reset best.Sym_record.lp rule.Sem.reset_lp;
+      med = reset best.Sym_record.med rule.Sem.reset_med;
+      bgp_internal = T.bool_const rule.Sem.internal;
+    }
   in
   match out_map with
   | None when t.opts.Options.merge_filters -> pre
   | _ ->
     let dst =
-      Sym_record.fresh t.opts t.feats ~name ~ad:(A.default_ad A.Pbgp) ~rid:0
+      Sym_record.fresh t.opts t.feats ~name ~ad:(Sem.bgp_ad ~internal:false) ~rid:0
         ~bgp_internal:is_ibgp
     in
     emit t (Sym_record.well_formed t.pkt dst);
@@ -774,32 +759,16 @@ and build_bgp_export t ~(sender : A.device) ~(best : Sym_record.t) ~out_map ~is_
 
 and constrain_device t (dev : A.device) =
   let enc = Hashtbl.find t.dev_enc dev.A.dev_name in
-  let multipath = match dev.A.dev_bgp with Some b -> b.A.bgp_multipath | None -> true in
-  (match enc.best_bgp with
-   | Some best ->
-     emit t (Sym_record.well_formed t.pkt best);
-     List.iter (emit t)
-       (Selection.constrain_best
-          ~geq:(Selection.bgp_geq ~multipath)
-          ~best
-          ~candidates:(List.map (fun c -> c.rec_) enc.cand_bgp))
-   | None -> ());
-  (match enc.best_ospf with
-   | Some best ->
-     emit t (Sym_record.well_formed t.pkt best);
-     List.iter (emit t)
-       (Selection.constrain_best ~geq:Selection.igp_geq ~best
-          ~candidates:(List.map (fun c -> c.rec_) enc.cand_ospf))
-   | None -> ());
-  let overall_cands =
-    (match enc.best_bgp with Some b -> [ b ] | None -> [])
-    @ (match enc.best_ospf with Some b -> [ b ] | None -> [])
-    @ List.map (fun c -> c.rec_) enc.cand_direct
+  let select sel best candidates =
+    emit t (Sym_record.well_formed t.pkt best);
+    List.iter (emit t)
+      (Selection.constrain_best ~geq:(Selection.geq (Sem.decision dev sel)) ~best ~candidates)
   in
-  emit t (Sym_record.well_formed t.pkt enc.best_overall);
-  List.iter (emit t)
-    (Selection.constrain_best ~geq:Selection.overall_geq ~best:enc.best_overall
-       ~candidates:overall_cands);
+  let recs = List.map (fun c -> c.rec_) in
+  Option.iter (fun best -> select (Sem.Protocol A.Pbgp) best (recs enc.cand_bgp)) enc.best_bgp;
+  Option.iter (fun best -> select (Sem.Protocol A.Pospf) best (recs enc.cand_ospf)) enc.best_ospf;
+  select Sem.Overall enc.best_overall
+    (Option.to_list enc.best_bgp @ Option.to_list enc.best_ospf @ recs enc.cand_direct);
   (* exports to external peers, for leak/equivalence properties *)
   if not t.igp_only then begin
     match enc.best_bgp with
@@ -822,9 +791,16 @@ and constrain_device t (dev : A.device) =
 (* ---------------- forwarding ---------------- *)
 
 (* Would the source protocol (at this device) forward to hop [h]?  Used
-   for redistributed routes; only direct (non-redistributed) candidates
-   of the source protocol are considered. *)
-and inherit_base enc src_proto h =
+   for redistributed routes; only the source protocol's own
+   (non-redistributed) candidates are considered, iBGP ones resolving
+   through their copies. *)
+and inherit_base t enc src_proto h =
+  let own =
+    List.filter (fun c -> match c.hop with Inherit _ -> false | Fixed _ | Via_copy _ -> true)
+  in
+  let within best cands =
+    Option.fold ~none:T.fls ~some:(fun b -> fwd_within t enc b (own cands) h) best
+  in
   match src_proto with
   | A.Pconnected | A.Pstatic ->
     T.or_
@@ -836,29 +812,9 @@ and inherit_base enc src_proto h =
            | Fixed _ | Inherit _ | Via_copy _ -> None)
          enc.cand_direct)
   | A.Pospf ->
-    (match enc.best_ospf with
-     | None -> T.fls
-     | Some best ->
-       T.or_
-         (List.filter_map
-            (fun c ->
-              match c.hop with
-              | Fixed hh when Nexthop.equal hh h ->
-                Some (T.and_ [ c.rec_.Sym_record.valid; Sym_record.equal_fields best c.rec_ ])
-              | Fixed _ | Inherit _ | Via_copy _ -> None)
-            enc.cand_ospf))
+    within enc.best_ospf enc.cand_ospf
   | A.Pbgp ->
-    (match enc.best_bgp with
-     | None -> T.fls
-     | Some best ->
-       T.or_
-         (List.filter_map
-            (fun c ->
-              match c.hop with
-              | Fixed hh when Nexthop.equal hh h ->
-                Some (T.and_ [ c.rec_.Sym_record.valid; Sym_record.equal_fields best c.rec_ ])
-              | Fixed _ | Inherit _ | Via_copy _ -> None)
-            enc.cand_bgp))
+    within enc.best_bgp enc.cand_bgp
 
 and fwd_within t enc (best : Sym_record.t) cands h =
   let d = enc.dev.A.dev_name in
@@ -870,7 +826,7 @@ and fwd_within t enc (best : Sym_record.t) cands h =
           Some (T.and_ [ c.rec_.Sym_record.valid; Sym_record.equal_fields best c.rec_ ])
         | Fixed _ -> None
         | Inherit src_proto ->
-          let base = inherit_base enc src_proto h in
+          let base = inherit_base t enc src_proto h in
           if T.equal base T.fls then None
           else
             Some

@@ -9,7 +9,6 @@ type t = {
   any_med : bool;  (** some route-map sets or matches MED *)
   any_ibgp : bool;
   comm_scope : Net.Community.t list;  (** communities carried by records *)
-  multipath_everywhere : bool;
 }
 
 let route_map_sets (net : A.network) f =
@@ -71,11 +70,6 @@ let scan (net : A.network) ~slice =
       any_med = route_map_sets net (function A.Set_med _ -> true | _ -> false);
       any_ibgp = has_ibgp net;
       comm_scope = mentioned_communities net ~matched_only:true;
-      multipath_everywhere =
-        List.for_all
-          (fun (d : A.device) ->
-            match d.A.dev_bgp with Some b -> b.A.bgp_multipath | None -> true)
-          net.net_devices;
     }
   else
     {
@@ -83,5 +77,4 @@ let scan (net : A.network) ~slice =
       any_med = true;
       any_ibgp = true;
       comm_scope = mentioned_communities net ~matched_only:false;
-      multipath_everywhere = false;
     }

@@ -18,33 +18,24 @@ let lex steps =
    reflects the per-packet slice of longest-prefix-match forwarding. *)
 let plen_step (a : Sym_record.t) (b : Sym_record.t) = (T.gt a.plen b.plen, T.eq a.plen b.plen)
 
-(** [a] at least as preferred as [b] within a BGP process: local
-    preference (higher), AS-path length (lower), MED (lower), eBGP over
-    iBGP, router id (lower; skipped under multipath). *)
-let bgp_geq ~multipath (a : Sym_record.t) (b : Sym_record.t) =
-  let steps =
-    [
-      plen_step a b;
-      (T.gt a.lp b.lp, T.eq a.lp b.lp);
-      (T.lt a.metric b.metric, T.eq a.metric b.metric);
-      (T.lt a.med b.med, T.eq a.med b.med);
-      ( T.and_ [ T.not_ a.bgp_internal; b.bgp_internal ],
-        T.iff a.bgp_internal b.bgp_internal );
-    ]
-    @ if multipath then [] else [ (T.lt a.rid b.rid, T.eq a.rid b.rid) ]
+(* One {!Config.Semantics} decision step as a (better, equal) pair; an
+   iBGP flag orders false (eBGP) below true. *)
+let step (a : Sym_record.t) (b : Sym_record.t) (s : Config.Semantics.step) =
+  let less x y =
+    if Smt.Sort.equal (T.sort x) Smt.Sort.Bool then T.and_ [ T.not_ x; y ] else T.lt x y
   in
-  lex steps
+  match s with
+  | Lower f ->
+    let x = Sym_record.attribute f a and y = Sym_record.attribute f b in
+    (less x y, T.eq x y)
+  | Higher f ->
+    let x = Sym_record.attribute f a and y = Sym_record.attribute f b in
+    (less y x, T.eq x y)
 
-(** IGP preference: longest prefix, then lowest metric. *)
-let igp_geq (a : Sym_record.t) (b : Sym_record.t) =
-  lex [ plen_step a b; (T.lt a.metric b.metric, T.eq a.metric b.metric) ]
-
-(** Overall (cross-protocol) preference: longest prefix, then lowest
-    administrative distance.  Remaining fields only break ties between
-    same-protocol candidates, which per-protocol selection already
-    ordered. *)
-let overall_geq (a : Sym_record.t) (b : Sym_record.t) =
-  lex [ plen_step a b; (T.lt a.ad b.ad, T.eq a.ad b.ad) ]
+(** [a] at least as preferred as [b] under a decision process: longest
+    prefix, then each step in turn. *)
+let geq steps (a : Sym_record.t) (b : Sym_record.t) =
+  lex (plen_step a b :: List.map (step a b) steps)
 
 (** Constraints defining [best] as the selection among [candidates].
     [geq a b] must hold when record [a] is at least as preferred as

@@ -9,6 +9,7 @@
     the given network with shared constants. *)
 
 module T = Smt.Term
+module Sem = Config.Semantics
 
 type t = {
   name : string;
@@ -24,8 +25,6 @@ type t = {
   comms : (Net.Community.t * T.t) list;  (** Bool per in-scope community *)
 }
 
-let default_lp = 100
-
 let int_var name = T.var name Smt.Sort.Int
 let bool_var name = T.var name Smt.Sort.Bool
 
@@ -39,7 +38,7 @@ let fresh (opts : Options.t) (feats : Features.t) ~name ~ad ~rid ~bgp_internal =
     plen = int_var (name ^ ".plen");
     prefix = (if opts.hoist_prefixes then None else Some (T.bv_var (name ^ ".prefix") ~width:32));
     ad = T.int_const ad;
-    lp = (if feats.Features.any_lp then int_var (name ^ ".lp") else T.int_const default_lp);
+    lp = (if feats.Features.any_lp then int_var (name ^ ".lp") else T.int_const Sem.default_lp);
     metric = int_var (name ^ ".metric");
     med = (if feats.Features.any_med then int_var (name ^ ".med") else T.int_const 0);
     rid = T.int_const rid;
@@ -57,7 +56,7 @@ let fresh_best (opts : Options.t) (feats : Features.t) ~name =
     plen = int_var (name ^ ".plen");
     prefix = (if opts.hoist_prefixes then None else Some (T.bv_var (name ^ ".prefix") ~width:32));
     ad = int_var (name ^ ".ad");
-    lp = (if feats.Features.any_lp then int_var (name ^ ".lp") else T.int_const default_lp);
+    lp = (if feats.Features.any_lp then int_var (name ^ ".lp") else T.int_const Sem.default_lp);
     metric = int_var (name ^ ".metric");
     med = (if feats.Features.any_med then int_var (name ^ ".med") else T.int_const 0);
     rid = int_var (name ^ ".rid");
@@ -74,13 +73,23 @@ let invalid ~name =
     plen = T.int_const 0;
     prefix = None;
     ad = T.int_const 255;
-    lp = T.int_const default_lp;
+    lp = T.int_const Sem.default_lp;
     metric = T.int_const 0;
     med = T.int_const 0;
     rid = T.int_const 0;
     bgp_internal = T.fls;
     comms = [];
   }
+
+(** The term a {!Config.Semantics} decision step compares. *)
+let attribute (f : Sem.attribute) r =
+  match f with
+  | Admin_distance -> r.ad
+  | Local_pref -> r.lp
+  | Metric -> r.metric
+  | Med -> r.med
+  | Internal -> r.bgp_internal
+  | Router_id -> r.rid
 
 let comm_term r c =
   match List.find_opt (fun (c', _) -> Net.Community.equal c c') r.comms with

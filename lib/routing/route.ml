@@ -14,31 +14,14 @@ type t = {
   action : action;
 }
 
-(* Negative when [a] is preferred over [b]. *)
-let compare_preference a b =
-  let c = compare a.ad b.ad in
-  if c <> 0 then c
-  else begin
-    let c = compare b.lp a.lp in
-    if c <> 0 then c
-    else begin
-      let c = compare a.metric b.metric in
-      if c <> 0 then c
-      else begin
-        let c = compare a.med b.med in
-        if c <> 0 then c
-        else begin
-          let c = compare a.bgp_internal b.bgp_internal in
-          (* false (eBGP) < true (iBGP): eBGP preferred *)
-          if c <> 0 then c else compare a.rid b.rid
-        end
-      end
-    end
-  end
-
-let equally_good a b =
-  a.ad = b.ad && a.lp = b.lp && a.metric = b.metric && a.med = b.med
-  && a.bgp_internal = b.bgp_internal
+let attribute (f : Config.Semantics.attribute) r =
+  match f with
+  | Admin_distance -> r.ad
+  | Local_pref -> r.lp
+  | Metric -> r.metric
+  | Med -> r.med
+  | Internal -> Bool.to_int r.bgp_internal
+  | Router_id -> r.rid
 
 let pp_action fmt = function
   | Receive -> Format.pp_print_string fmt "receive"

@@ -20,13 +20,7 @@ type t = {
   action : action;
 }
 
-val compare_preference : t -> t -> int
-(** Total preference order: negative when the first route is {e better}.
-    Implements administrative distance, then the BGP decision process
-    (local preference, AS-path length / metric, MED, eBGP-over-iBGP,
-    router id), which degenerates to metric comparison for IGPs. *)
-
-val equally_good : t -> t -> bool
-(** Preference-equal ignoring the router-id tiebreak (multipath). *)
+val attribute : Config.Semantics.attribute -> t -> int
+(** An attribute as the {!Config.Semantics} decision steps compare it. *)
 
 val pp : Format.formatter -> t -> unit

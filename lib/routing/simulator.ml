@@ -1,4 +1,5 @@
 module A = Config.Ast
+module Sem = Config.Semantics
 module Prefix = Net.Prefix
 module Ipv4 = Net.Ipv4
 module Smap = Map.Make (String)
@@ -90,8 +91,30 @@ let device_id devices name =
   in
   go 0 devices
 
-let best_of_candidates ~multipath candidates =
-  (* Group by prefix, keep the most preferred route(s). *)
+(* A route entering [proto] at this device with the shared start
+   attributes: [attrs] on redistribution, those of an origin otherwise.
+   [rid] identifies the originating BGP speaker. *)
+let originate ?attrs ?(rid = 0) ~prefix proto ~action =
+  let a = match attrs with Some a -> a | None -> Sem.originated proto in
+  {
+    Route.prefix;
+    proto;
+    ad = a.Sem.ad;
+    lp = a.Sem.lp;
+    metric = a.Sem.metric;
+    med = a.Sem.med;
+    rid;
+    bgp_internal = false;
+    as_path = [];
+    communities = Net.Community.Set.empty;
+    action;
+  }
+
+(* Group by prefix, keep the most preferred route(s) under the
+   selection's decision process and ECMP policy. *)
+let best_of_candidates dev sel candidates =
+  let compare = Sem.compare (Sem.decision dev sel) Route.attribute in
+  let keep_ties = Sem.keeps_ties dev sel in
   let by_prefix =
     List.fold_left
       (fun m (r : Route.t) ->
@@ -100,11 +123,10 @@ let best_of_candidates ~multipath candidates =
   in
   Prefix.Map.map
     (fun routes ->
-      let sorted = List.sort Route.compare_preference routes in
-      match sorted with
+      match List.sort compare routes with
       | [] -> []
       | best :: rest ->
-        if multipath then best :: List.filter (Route.equally_good best) rest else [ best ])
+        if keep_ties then best :: List.filter (fun r -> compare best r = 0) rest else [ best ])
     by_prefix
 
 (* Interfaces of [dev] running BGP sessions to internal devices resolve via
@@ -158,26 +180,9 @@ let lookup_map overall ip =
 (* -- per-protocol candidate computation ---------------------------------------------- *)
 
 let connected_routes (dev : A.device) =
-  List.filter_map
-    (fun (i : A.interface) ->
-      match i.A.if_prefix with
-      | Some p ->
-        Some
-          {
-            Route.prefix = p;
-            proto = A.Pconnected;
-            ad = A.default_ad A.Pconnected;
-            lp = 100;
-            metric = 0;
-            med = 0;
-            rid = 0;
-            bgp_internal = false;
-            as_path = [];
-            communities = Net.Community.Set.empty;
-            action = Route.Receive;
-          }
-      | None -> None)
-    dev.A.dev_interfaces
+  List.map
+    (fun prefix -> originate ~prefix A.Pconnected ~action:Route.Receive)
+    (A.connected_prefixes dev)
 
 let static_routes net (dev : A.device) =
   List.map
@@ -197,19 +202,7 @@ let static_routes net (dev : A.device) =
              else Route.Discard)
         | None, None -> Route.Discard
       in
-      {
-        Route.prefix = s.A.st_prefix;
-        proto = A.Pstatic;
-        ad = A.default_ad A.Pstatic;
-        lp = 100;
-        metric = 0;
-        med = 0;
-        rid = 0;
-        bgp_internal = false;
-        as_path = [];
-        communities = Net.Community.Set.empty;
-        action;
-      })
+      originate ~prefix:s.A.st_prefix A.Pstatic ~action)
     dev.A.dev_statics
 
 (* OSPF neighbors: adjacent devices where both ends run OSPF on the
@@ -228,13 +221,7 @@ let ospf_neighbors net env (dev : A.device) =
           let peer_ok =
             List.exists (fun (i : A.interface) -> i.A.if_name = peer_if) (A.ospf_interfaces peer)
           in
-          if local_ok && peer_ok then begin
-            let cost =
-              match A.find_interface dev local_if with Some i -> i.A.if_cost | None -> 1
-            in
-            Some (peer_name, cost)
-          end
-          else None
+          if local_ok && peer_ok then Some (peer_name, Sem.ospf_cost dev local_if) else None
       end)
     (Net.Topology.neighbors topo dev.A.dev_name)
 
@@ -246,23 +233,7 @@ let ospf_candidates net env ribs (dev : A.device) =
     let own =
       List.filter_map
         (fun (i : A.interface) ->
-          match i.A.if_prefix with
-          | Some p ->
-            Some
-              {
-                Route.prefix = p;
-                proto = A.Pospf;
-                ad = A.default_ad A.Pospf;
-                lp = 100;
-                metric = 0;
-                med = 0;
-                rid = 0;
-                bgp_internal = false;
-                as_path = [];
-                communities = Net.Community.Set.empty;
-                action = Route.Receive;
-              }
-          | None -> None)
+          Option.map (fun prefix -> originate ~prefix A.Pospf ~action:Route.Receive) i.A.if_prefix)
         (A.ospf_interfaces dev)
     in
     (* learned from neighbors *)
@@ -276,13 +247,7 @@ let ospf_candidates net env ribs (dev : A.device) =
               (fun _ routes acc ->
                 List.fold_left
                   (fun acc (r : Route.t) ->
-                    {
-                      r with
-                      Route.metric = r.metric + cost;
-                      action = Route.Forward peer_name;
-                      proto = A.Pospf;
-                      ad = A.default_ad A.Pospf;
-                    }
+                    { r with Route.metric = r.metric + cost; action = Route.Forward peer_name }
                     :: acc)
                   acc routes)
               rib.ospf [])
@@ -299,12 +264,8 @@ let ospf_candidates net env ribs (dev : A.device) =
               (fun _ routes acc ->
                 List.fold_left
                   (fun acc (r : Route.t) ->
-                    {
-                      r with
-                      Route.proto = A.Pospf;
-                      ad = A.default_ad A.Pospf;
-                      metric = Option.value rd.A.rd_metric ~default:20;
-                    }
+                    originate ~attrs:(Sem.redistributed ~into:A.Pospf rd) ~prefix:r.prefix A.Pospf
+                      ~action:r.action
                     :: acc)
                   acc routes)
               (proto_map rib rd.A.rd_from) [])
@@ -332,8 +293,8 @@ let import_external_ads env devices (dev : A.device) =
                 {
                   Route.prefix = ad.adv_prefix;
                   proto = A.Pbgp;
-                  ad = A.default_ad A.Pbgp;
-                  lp = 100;
+                  ad = Sem.bgp_ad ~internal:false;
+                  lp = Sem.default_lp;
                   metric = ad.adv_path_len + 1;
                   med = ad.adv_med;
                   rid = 1000 + device_id devices dev.A.dev_name;
@@ -370,20 +331,7 @@ let bgp_candidates net env ribs devices (dev : A.device) =
             (match candidates with
              | [] -> None
              | (under : Route.t) :: _ ->
-               Some
-                 {
-                   Route.prefix = p;
-                   proto = A.Pbgp;
-                   ad = A.default_ad A.Pbgp;
-                   lp = 100;
-                   metric = 0;
-                   med = 0;
-                   rid = my_rid;
-                   bgp_internal = false;
-                   as_path = [];
-                   communities = Net.Community.Set.empty;
-                   action = under.action;
-                 }))
+               Some (originate ~rid:my_rid ~prefix:p A.Pbgp ~action:under.action)))
         bgp.A.bgp_networks
     in
     (* aggregates originate when a strictly more-specific BGP route exists *)
@@ -400,20 +348,7 @@ let bgp_candidates net env ribs devices (dev : A.device) =
                 rib.bgp
             in
             if has_contributor then
-              Some
-                {
-                  Route.prefix = agg;
-                  proto = A.Pbgp;
-                  ad = A.default_ad A.Pbgp;
-                  lp = 100;
-                  metric = 0;
-                  med = 0;
-                  rid = my_rid;
-                  bgp_internal = false;
-                  as_path = [];
-                  communities = Net.Community.Set.empty;
-                  action = Route.Discard;
-                }
+              Some (originate ~rid:my_rid ~prefix:agg A.Pbgp ~action:Route.Discard)
             else None)
         bgp.A.bgp_aggregates
     in
@@ -435,9 +370,7 @@ let bgp_candidates net env ribs devices (dev : A.device) =
                 let out_map =
                   match rev with Some r -> r.neighbor.A.nbr_rm_out | None -> None
                 in
-                let peer_is_rr =
-                  List.exists (fun (n : A.bgp_neighbor) -> n.A.nbr_rr_client) peer_bgp.A.bgp_neighbors
-                in
+                let rule = Sem.export ~sender:peer_bgp ~ibgp:is_ibgp in
                 (* iBGP session viability: this device must be able to
                    reach the peer address through the current rib *)
                 let session_up =
@@ -470,67 +403,56 @@ let bgp_candidates net env ribs devices (dev : A.device) =
                     (fun _ routes acc ->
                       List.fold_left
                         (fun acc (r : Route.t) ->
-                          if suppressed r then acc
+                          let metric = r.metric + rule.Sem.path_increment in
+                          if
+                            suppressed r
+                            || (r.bgp_internal && not rule.Sem.exports_internal)
+                            || Option.fold ~none:false ~some:(fun m -> metric > m) rule.Sem.max_path
+                          then acc
                           else begin
                             (* export rules at the peer *)
-                            let exportable =
-                              if not is_ibgp then true
-                              else (not r.bgp_internal) || peer_is_rr
+                            let exported =
+                              {
+                                r with
+                                Route.metric;
+                                as_path =
+                                  (if is_ibgp then r.as_path else peer_bgp.A.bgp_asn :: r.as_path);
+                                bgp_internal = rule.Sem.internal;
+                                lp = Option.value rule.Sem.reset_lp ~default:r.lp;
+                                med = Option.value rule.Sem.reset_med ~default:r.med;
+                              }
                             in
-                            if not exportable then acc
-                            else begin
-                              let exported =
-                                if is_ibgp then { r with Route.bgp_internal = true }
-                                else
-                                  {
-                                    r with
-                                    Route.metric = r.metric + 1;
-                                    as_path = peer_bgp.A.bgp_asn :: r.as_path;
-                                    bgp_internal = false;
-                                    lp = 100;
-                                    med = 0;
-                                  }
-                              in
-                              if exported.metric > 255 then acc
+                            match apply_route_map peer_dev out_map exported with
+                            | None -> acc
+                            | Some exported ->
+                              (* import side *)
+                              if
+                                (not is_ibgp)
+                                && List.mem bgp.A.bgp_asn exported.as_path
+                                && bgp.A.bgp_asn <> 0
+                              then acc (* AS loop *)
+                              else if is_ibgp && exported.rid = my_rid then acc
                               else begin
-                                match apply_route_map peer_dev out_map exported with
-                                | None -> acc
-                                | Some exported ->
-                                  (* import side *)
-                                  if
-                                    (not is_ibgp)
-                                    && List.mem bgp.A.bgp_asn exported.as_path
-                                    && bgp.A.bgp_asn <> 0
-                                  then acc (* AS loop *)
-                                  else if is_ibgp && exported.rid = my_rid then acc
+                                let action =
+                                  if not is_ibgp then Route.Forward peer_name
                                   else begin
-                                    let imported =
-                                      {
-                                        exported with
-                                        Route.ad =
-                                          (if is_ibgp then A.ibgp_ad else A.default_ad A.Pbgp);
-                                        action =
-                                          (if is_ibgp then begin
-                                             (* recursive lookup toward the peer *)
-                                             match my_rib with
-                                             | None -> Route.Forward peer_name
-                                             | Some rib ->
-                                               (match lookup_map rib.overall s.neighbor.A.nbr_ip with
-                                                | { Route.action = Route.Forward h; _ } :: _ ->
-                                                  Route.Forward h
-                                                | { Route.action = Route.Receive; _ } :: _ ->
-                                                  Route.Forward peer_name
-                                                | _ -> Route.Forward peer_name)
-                                           end
-                                           else Route.Forward peer_name);
-                                      }
-                                    in
-                                    match apply_route_map dev s.neighbor.A.nbr_rm_in imported with
-                                    | None -> acc
-                                    | Some r -> r :: acc
+                                    (* recursive lookup toward the peer *)
+                                    match my_rib with
+                                    | None -> Route.Forward peer_name
+                                    | Some rib ->
+                                      (match lookup_map rib.overall s.neighbor.A.nbr_ip with
+                                       | { Route.action = Route.Forward h; _ } :: _ ->
+                                         Route.Forward h
+                                       | _ -> Route.Forward peer_name)
                                   end
+                                in
+                                let imported =
+                                  { exported with Route.ad = Sem.bgp_ad ~internal:is_ibgp; action }
+                                in
+                                match apply_route_map dev s.neighbor.A.nbr_rm_in imported with
+                                | None -> acc
+                                | Some r -> r :: acc
                               end
-                            end
                           end)
                         acc routes)
                     peer_rib.bgp []
@@ -550,17 +472,8 @@ let bgp_candidates net env ribs devices (dev : A.device) =
               (fun _ routes acc ->
                 List.fold_left
                   (fun acc (r : Route.t) ->
-                    {
-                      r with
-                      Route.proto = A.Pbgp;
-                      ad = A.default_ad A.Pbgp;
-                      lp = 100;
-                      metric = 0;
-                      med = Option.value rd.A.rd_metric ~default:0;
-                      rid = my_rid;
-                      bgp_internal = false;
-                      as_path = [];
-                    }
+                    originate ~attrs:(Sem.redistributed ~into:A.Pbgp rd) ~rid:my_rid ~prefix:r.prefix
+                      A.Pbgp ~action:r.action
                     :: acc)
                   acc routes)
               (proto_map rib rd.A.rd_from) [])
@@ -592,33 +505,29 @@ let rib_key rib =
 
 let state_key ribs = Smap.bindings ribs |> List.map (fun (d, rib) -> (d, rib_key rib))
 
-let overall_of ~multipath rib =
+let overall_of dev rib =
   let candidates =
     List.concat_map
       (fun m -> Prefix.Map.fold (fun _ routes acc -> routes @ acc) m [])
       [ rib.connected; rib.static; rib.ospf; rib.bgp ]
   in
-  best_of_candidates ~multipath candidates
+  best_of_candidates dev Sem.Overall candidates
 
 let run ?max_rounds (net : A.network) env =
   let devices = net.A.net_devices in
   let max_rounds =
     match max_rounds with Some n -> n | None -> (4 * List.length devices) + 16
   in
-  let multipath_of (dev : A.device) =
-    match dev.A.dev_bgp with Some b -> b.A.bgp_multipath | None -> true
-    (* IGPs use ECMP by default *)
-  in
   let step ribs =
     List.fold_left
       (fun acc (dev : A.device) ->
-        let multipath = multipath_of dev in
-        let connected = best_of_candidates ~multipath (connected_routes dev) in
-        let static = best_of_candidates ~multipath (static_routes net dev) in
-        let ospf = best_of_candidates ~multipath (ospf_candidates net env ribs dev) in
-        let bgp = best_of_candidates ~multipath (bgp_candidates net env ribs devices dev) in
+        let best proto = best_of_candidates dev (Sem.Protocol proto) in
+        let connected = best A.Pconnected (connected_routes dev) in
+        let static = best A.Pstatic (static_routes net dev) in
+        let ospf = best A.Pospf (ospf_candidates net env ribs dev) in
+        let bgp = best A.Pbgp (bgp_candidates net env ribs devices dev) in
         let rib = { connected; static; ospf; bgp; overall = Prefix.Map.empty } in
-        let rib = { rib with overall = overall_of ~multipath rib } in
+        let rib = { rib with overall = overall_of dev rib } in
         Smap.add dev.A.dev_name rib acc)
       Smap.empty devices
   in

@@ -190,6 +190,36 @@ let test_duplicate_router_id () =
        ~c2_bgp:"router bgp 200\n bgp router-id 9.9.9.9\n neighbor 10.0.0.1 remote-as 100\n" ());
   check_not "MS-W302" clean_pair
 
+(* Two stanzas named B: the first runs no BGP, the second owns the
+   session address.  Devices are keyed by name everywhere downstream, so
+   lint must refuse the network before the encoder sees it. *)
+let duplicate_hostname =
+  {|hostname A
+interface e0
+ ip address 10.0.0.1/30
+router bgp 100
+ neighbor 10.0.0.2 remote-as 200
+!
+hostname B
+interface e0
+ ip address 10.0.9.1/30
+!
+hostname B
+interface e0
+ ip address 10.0.0.2/30
+router bgp 200
+ neighbor 10.0.0.1 remote-as 100
+|}
+
+let test_duplicate_hostname () =
+  check_has "MS-E305" duplicate_hostname;
+  check_not "MS-E305" clean_pair;
+  match MS.Encode.build (parse duplicate_hostname) MS.Options.default with
+  | exception Analysis.Lint.Lint_errors errs ->
+    Alcotest.(check (list string)) "the only error" [ "MS-E305" ]
+      (List.map (fun (d : D.t) -> d.D.code) errs)
+  | _ -> Alcotest.fail "expected Lint_errors"
+
 (* A hub and two spokes in AS 100: without route-reflector-client marks
    the group is a broken mesh (B and C never peer); with them, A covers
    the group as a route reflector. *)
@@ -433,6 +463,7 @@ let () =
           Alcotest.test_case "self neighbor" `Quick test_self_neighbor;
           Alcotest.test_case "one-sided session" `Quick test_one_sided_session;
           Alcotest.test_case "duplicate router-id" `Quick test_duplicate_router_id;
+          Alcotest.test_case "duplicate hostname" `Quick test_duplicate_hostname;
           Alcotest.test_case "ibgp mesh" `Quick test_ibgp_mesh;
           Alcotest.test_case "ospf no interface" `Quick test_ospf_no_interface;
           Alcotest.test_case "neighbor off subnet" `Quick test_neighbor_off_subnet;

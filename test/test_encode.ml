@@ -84,6 +84,64 @@ let test_ibgp_propagation () =
   let bare = MS.Property.reachability enc2 ~sources:[ "R2" ] (MS.Property.External_peer peer) in
   Alcotest.(check bool) "empty environment blocks" true (violated (verify_check enc2 bare))
 
+(* -- a BGP route learned over iBGP and redistributed into OSPF ---------------- *)
+
+(* R1 learns R2's external route over iBGP and redistributes it into
+   OSPF, where it beats iBGP on distance.  It must still forward the way
+   the iBGP route does (through the iBGP copy, toward R2); certification
+   replays the verdicts through the simulator. *)
+let ibgp_redist_net =
+  {|hostname R1
+interface e0
+ ip address 192.168.12.1/30
+interface e1
+ ip address 10.1.0.1/24
+router ospf 1
+ network 192.168.12.0/24
+ redistribute bgp
+router bgp 100
+ neighbor 192.168.12.2 remote-as 100
+!
+hostname R2
+interface e0
+ ip address 192.168.12.2/30
+interface e1
+ ip address 192.168.100.1/30
+router ospf 1
+ network 192.168.12.0/24
+router bgp 100
+ neighbor 192.168.12.1 remote-as 100
+ neighbor 192.168.100.2 remote-as 65001
+|}
+
+let test_ibgp_redistributed () =
+  let net = parse ibgp_redist_net in
+  let peer = MS.Property.External_peer "peer:192.168.100.2" in
+  let run make =
+    let enc = MS.Encode.build net (MS.Options.with_certify default) in
+    let base = make enc in
+    let prop =
+      {
+        base with
+        MS.Property.assumptions = base.MS.Property.assumptions @ announce_all enc @ external_dst enc;
+      }
+    in
+    MS.Verify.run_query enc (MS.Verify.Query.of_property "query" prop)
+  in
+  let certified what (r : MS.Verify.Report.t) =
+    match r.MS.Verify.Report.certificate with
+    | MS.Verify.Report.Checked_unsat_proof _ | MS.Verify.Report.Checked_model -> ()
+    | MS.Verify.Report.Uncertified -> Alcotest.failf "%s: uncertified" what
+    | MS.Verify.Report.Certification_failed msg -> Alcotest.failf "%s: %s" what msg
+  in
+  let reach = run (fun enc -> MS.Property.reachability enc ~sources:[ "R1" ] peer) in
+  certified "reachability" reach;
+  Alcotest.(check bool) "R1 reaches the peer" false
+    (violated (MS.Verify.Report.to_outcome reach));
+  let iso = run (fun enc -> MS.Property.isolation enc ~sources:[ "R1" ] peer) in
+  certified "isolation" iso;
+  Alcotest.(check bool) "so R1 is not isolated" true (violated (MS.Verify.Report.to_outcome iso))
+
 (* -- communities in the environment and in filters -------------------------- *)
 
 let community_net =
@@ -218,6 +276,84 @@ let test_neighbor_preference () =
   Alcotest.(check bool) "prefers p1 over p2" false (violated (run [ p1; p2 ]));
   Alcotest.(check bool) "reverse order fails" true (violated (run [ p2; p1 ]))
 
+(* -- local preference ranks before eBGP-over-iBGP ------------------------------ *)
+
+(* R1 and R2 (AS 65000, iBGP between them) each hear 10.99.0.0/24 with
+   path length 1 from their own eBGP peer; R1's import map raises local
+   preference to 200.  R2 must prefer the iBGP route through R1 over its
+   own eBGP one, in the simulator and in the encoding alike. *)
+let lp_net =
+  {|hostname R1
+interface e0
+ ip address 192.168.12.1/30
+interface e1
+ ip address 192.168.101.1/30
+route-map PREFER permit 10
+ set local-preference 200
+router bgp 65000
+ neighbor 192.168.12.2 remote-as 65000
+ neighbor 192.168.101.2 remote-as 65001
+ neighbor 192.168.101.2 route-map PREFER in
+!
+hostname R2
+interface e0
+ ip address 192.168.12.2/30
+interface e1
+ ip address 192.168.102.1/30
+router bgp 65000
+ neighbor 192.168.12.1 remote-as 65000
+ neighbor 192.168.102.2 remote-as 65002
+|}
+
+let test_local_pref_first () =
+  let net = parse lp_net in
+  let dst = P.of_string "10.99.0.0/24" in
+  let ad =
+    { Routing.Simulator.adv_prefix = dst; adv_path_len = 1; adv_med = 0;
+      adv_communities = Net.Community.Set.empty }
+  in
+  let env =
+    {
+      Routing.Simulator.external_ads =
+        [ ("R1", Ip.of_string "192.168.101.2", ad); ("R2", Ip.of_string "192.168.102.2", ad) ];
+      failed_links = [];
+    }
+  in
+  let st = Routing.Simulator.run net env in
+  (match Routing.Simulator.proto_rib st "R2" A.Pbgp with
+   | [ r ] ->
+     Alcotest.(check bool) "simulator: R2 picks the iBGP route" true r.Routing.Route.bgp_internal;
+     Alcotest.(check int) "with local preference 200" 200 r.Routing.Route.lp
+   | rs -> Alcotest.failf "simulator: R2 has %d BGP routes, expected one" (List.length rs));
+  let enc = MS.Encode.build net default in
+  let announced =
+    List.map
+      (fun (d, p) ->
+        let r = MS.Encode.env_record enc d p in
+        T.and_
+          [
+            r.MS.Sym_record.valid;
+            T.eq r.MS.Sym_record.plen (T.int_const 24);
+            T.eq r.MS.Sym_record.metric (T.int_const 1);
+            T.eq r.MS.Sym_record.med (T.int_const 0);
+          ])
+      [ ("R1", "peer:192.168.101.2"); ("R2", "peer:192.168.102.2") ]
+  in
+  let prop =
+    {
+      MS.Property.instrumentation = [];
+      assumptions = MS.Packet.dst_in_prefix (MS.Encode.packet enc) dst :: announced;
+      goal =
+        T.and_
+          [
+            MS.Encode.datafwd enc "R2" (MS.Nexthop.To_device "R1");
+            T.not_ (MS.Encode.datafwd enc "R2" (MS.Nexthop.To_external "peer:192.168.102.2"));
+          ];
+    }
+  in
+  Alcotest.(check bool) "encoding: R2 forwards through R1 only" false
+    (violated (verify_check enc prop))
+
 (* -- Figure 6(a): multipath inconsistency --------------------------------------- *)
 
 let fig6a =
@@ -317,7 +453,9 @@ let test_slicing_shrinks () =
    looked devices up through per-build name and address indexes: the
    indexes must not change a single assertion.  The fleet networks
    (picked by a seeded draw) exercise iBGP copies and static next hops;
-   the quotient exercises the reduced network's filtered sessions. *)
+   the quotient exercises the reduced network's filtered sessions.
+   All three fleet networks redistribute iBGP-learned routes into OSPF;
+   their sizes include that route's forwarding through the iBGP copy. *)
 let test_stats_pinned () =
   let check name ?pins net opts expected =
     Alcotest.(check (pair int int)) name expected (MS.Encode.stats (MS.Encode.build ?pins net opts))
@@ -332,7 +470,7 @@ let test_stats_pinned () =
       let i = Random.State.int rng (Array.length fleet) in
       check (Printf.sprintf "fleet network %d" i) fleet.(i).Generators.Enterprise.network default
         expected)
-    [ (567, 31031); (952, 51000); (600, 34183) ]
+    [ (567, 31143); (952, 51137); (600, 34292) ]
 
 let () =
   Alcotest.run "encode"
@@ -340,7 +478,12 @@ let () =
       ("ibgp", [ Alcotest.test_case "propagation" `Quick test_ibgp_propagation ]);
       ("communities", [ Alcotest.test_case "match in filter" `Quick test_community_match ]);
       ("aggregation", [ Alcotest.test_case "export length" `Quick test_aggregation ]);
-      ("preferences", [ Alcotest.test_case "neighbor order" `Quick test_neighbor_preference ]);
+      ( "preferences",
+        [
+          Alcotest.test_case "neighbor order" `Quick test_neighbor_preference;
+          Alcotest.test_case "local preference before iBGP" `Quick test_local_pref_first;
+        ] );
+      ("redistribution", [ Alcotest.test_case "ibgp into ospf" `Quick test_ibgp_redistributed ]);
       ("multipath", [ Alcotest.test_case "figure 6a" `Quick test_multipath_inconsistency ]);
       ( "stats",
         [

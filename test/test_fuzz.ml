@@ -14,8 +14,12 @@
    per-device agreement).  Every verdict must carry a positive
    certificate: an Uncertified or failed one fails the fuzzer.
 
-   [dune runtest] runs a small bounded sample; [make fuzz] raises the
-   budget via MS_FUZZ_COUNT. *)
+   A second gate audits the enterprise fleet with certification on:
+   each network's three §8.1 questions must be certified (no replay may
+   disagree with the simulator) and answer as its injection label says.
+
+   [dune runtest] runs small bounded samples; [make fuzz] raises the
+   budgets via MS_FUZZ_COUNT and MS_FUZZ_FLEET (the whole fleet). *)
 
 module MS = Minesweeper
 module G = Generators
@@ -309,6 +313,84 @@ let prop_fault_brute =
           true
         end)
 
+(* ---- the certified fleet: every verdict replays and matches its label ---- *)
+
+(* How many of the 152 fleet networks to audit: a seeded sample in
+   [dune runtest], the whole fleet under [make fuzz]. *)
+let fleet_count =
+  match Sys.getenv_opt "MS_FUZZ_FLEET" with
+  | Some s -> ( try max 1 (int_of_string s) with _ -> 20)
+  | None -> 20
+
+(* The three audit questions of §8.1, each paired with the injection
+   label that says whether it must be violated. *)
+let fleet_queries (t : G.Enterprise.t) =
+  let devices = List.map (fun (d : A.device) -> d.A.dev_name) t.G.Enterprise.network.A.net_devices in
+  let last = List.nth devices (List.length devices - 1) in
+  let inj = t.G.Enterprise.injected in
+  let mgmt =
+    MS.Verify.Query.v "mgmt-reachability" (fun enc ->
+        MS.Property.reachability enc ~sources:devices
+          (MS.Property.Subnet (last, t.G.Enterprise.mgmt_prefix last)))
+  in
+  let allowed = t.G.Enterprise.edge_routers @ t.G.Enterprise.rack_role in
+  let holes =
+    MS.Verify.Query.v "no-blackholes" (fun enc -> MS.Property.no_blackholes enc ~allowed ())
+  in
+  let equiv =
+    match t.G.Enterprise.rack_role with
+    | r1 :: r2 :: _ ->
+      [ (MS.Verify.Query.v "acl-equivalence" (fun enc -> MS.Property.acl_equivalence enc r1 r2),
+         inj.G.Enterprise.acl_gap) ]
+    | [] | [ _ ] -> []
+  in
+  [ (mgmt, inj.G.Enterprise.hijack); (holes, inj.G.Enterprise.deep_drop) ] @ equiv
+
+let test_certified_fleet () =
+  let fleet = Array.of_list (G.Enterprise.fleet ()) in
+  let n = Array.length fleet in
+  let picks =
+    if fleet_count >= n then List.init n Fun.id
+    else begin
+      let rng = Random.State.make [| 21 |] in
+      let order = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
+      done;
+      List.sort compare (Array.to_list (Array.sub order 0 fleet_count))
+    end
+  in
+  let opts = MS.Options.with_certify MS.Options.default in
+  let failures =
+    List.concat_map
+      (fun i ->
+        let t = fleet.(i) in
+        let enc = MS.Encode.build t.G.Enterprise.network opts in
+        List.filter_map
+          (fun (q, injected) ->
+            let r = MS.Verify.run_query enc q in
+            let what = Printf.sprintf "net %d %s" i r.MS.Verify.Report.label in
+            match (r.MS.Verify.Report.certificate, r.MS.Verify.Report.verdict) with
+            | MS.Verify.Report.Certification_failed msg, _ ->
+              Some (Printf.sprintf "%s: certification failed: %s" what msg)
+            | MS.Verify.Report.Uncertified, _ -> Some (what ^ ": uncertified")
+            | _, MS.Verify.Report.Verified when injected -> Some (what ^ ": injected bug missed")
+            | _, MS.Verify.Report.Violated _ when not injected ->
+              Some (what ^ ": violated on a clean network")
+            | _, (MS.Verify.Report.Timeout | MS.Verify.Report.Error _) ->
+              Some (what ^ ": timeout or error")
+            | _, (MS.Verify.Report.Verified | MS.Verify.Report.Violated _) -> None)
+          (fleet_queries t))
+      picks
+  in
+  List.iter prerr_endline failures;
+  Alcotest.(check int)
+    (Printf.sprintf "failed verdicts over %d fleet networks" (List.length picks))
+    0 (List.length failures)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -318,4 +400,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_fattree;
           QCheck_alcotest.to_alcotest prop_fault_brute;
         ] );
+      ("fleet", [ Alcotest.test_case "certified verdicts match labels" `Slow test_certified_fleet ]);
     ]

@@ -359,6 +359,21 @@ let test_ecmp () =
       | _ -> Alcotest.fail "every branch delivers")
     traces
 
+(* IGP ECMP does not depend on BGP: S also runs BGP, without
+   maximum-paths, and still keeps both equal-cost OSPF paths. *)
+let test_ecmp_without_bgp_multipath () =
+  let i = String.index ecmp_net '!' in
+  let net =
+    parse
+      (String.sub ecmp_net 0 i ^ "router bgp 100\n"
+      ^ String.sub ecmp_net i (String.length ecmp_net - i))
+  in
+  let st = run net in
+  Alcotest.(check int) "two ospf routes" 2 (List.length (Sim.lookup st "S" (ip "10.9.0.3")));
+  let traces = Dp.trace_all net st ~src:"S" ~dst:(ip "10.9.0.3") in
+  Alcotest.(check int) "two ecmp paths" 2
+    (List.length (List.sort_uniq compare (List.map (fun t -> t.Dp.path) traces)))
+
 let () =
   Alcotest.run "routing"
     [
@@ -376,5 +391,10 @@ let () =
           Alcotest.test_case "import filter" `Quick test_import_filter_blocks;
           Alcotest.test_case "ibgp" `Quick test_ibgp;
         ] );
-      ("dataplane", [ Alcotest.test_case "acl" `Quick test_acl_blocks; Alcotest.test_case "ecmp" `Quick test_ecmp ]);
+      ( "dataplane",
+        [
+          Alcotest.test_case "acl" `Quick test_acl_blocks;
+          Alcotest.test_case "ecmp" `Quick test_ecmp;
+          Alcotest.test_case "ecmp without bgp multipath" `Quick test_ecmp_without_bgp_multipath;
+        ] );
     ]
