@@ -1,14 +1,11 @@
 # Convenience targets; `make check` is the full local gate: build,
 # test suite, a lint pass over every example configuration, the
 # batch-verification smoke benchmark (one incremental session must
-# beat N fresh solvers with identical verdicts), the parallel
-# smoke benchmark (sharded -j2 run must agree with the sequential
-# session on every verdict, and beat it by >=1.3x when the machine
-# has at least 2 cores), the solver smoke benchmark (all four corners
-# of the restart-mode/rephasing strategy grid must give identical
-# verdicts), and
-# the certification smoke benchmark (every verdict of the enterprise
-# and fattree suites must carry a positive certificate — UNSAT proofs
+# beat N fresh solvers with identical verdicts), the solver smoke
+# benchmark (all four corners of the restart-mode/rephasing strategy
+# grid must give identical verdicts), and the certification smoke
+# benchmark (every verdict of the enterprise and fattree suites must
+# carry a positive certificate — UNSAT proofs
 # replayed through the independent checker, SAT models evaluated and
 # simulated — with zero Uncertified verdicts and verdict agreement
 # against the uncertified pass), and the symmetry-scale smoke
@@ -19,8 +16,7 @@
 # classes actually collapse devices; clause sharing must demonstrably
 # fire on the full encoding, the winner importing at least one
 # clause; full-mode points past the wall-clock budget are skipped
-# with an explicit label, mirroring the parallel bench's
-# skipped_low_cores convention), and the arena smoke benchmark (the
+# with an explicit label), and the arena smoke benchmark (the
 # SAT core's steady-state propagation loop must allocate ~0 minor
 # words per propagation, a fresh solver and an incremental session
 # must agree on the hardest query, and the arena-compaction path must
@@ -36,7 +32,7 @@
 # be at least 2x faster than SMT on the graph-decided subset above a
 # noise floor).
 
-.PHONY: all build test lint fuzz coverage bench-smoke bench-parallel-smoke bench-solver-smoke certify-smoke bench-scale-smoke bench-arena-smoke bench-serve-smoke bench-fault-smoke check clean
+.PHONY: all build test lint fuzz coverage bench-smoke bench-solver-smoke certify-smoke bench-scale-smoke bench-arena-smoke bench-serve-smoke bench-fault-smoke check clean
 
 all: build
 
@@ -82,9 +78,6 @@ coverage:
 bench-smoke: build
 	dune exec bench/main.exe -- batch --smoke
 
-bench-parallel-smoke: build
-	dune exec bench/main.exe -- parallel --smoke
-
 bench-solver-smoke: build
 	dune exec bench/main.exe -- solver --smoke
 
@@ -103,7 +96,7 @@ bench-serve-smoke: build
 bench-fault-smoke: build
 	dune exec bench/main.exe -- fault --smoke
 
-check: build test lint bench-smoke bench-parallel-smoke bench-solver-smoke certify-smoke bench-scale-smoke bench-arena-smoke bench-serve-smoke bench-fault-smoke
+check: build test lint bench-smoke bench-solver-smoke certify-smoke bench-scale-smoke bench-arena-smoke bench-serve-smoke bench-fault-smoke
 
 clean:
 	dune clean

@@ -12,13 +12,6 @@
                  on the fig7 property suite; writes BENCH_batch.json
                  (--smoke: subsampled, exits 1 if the session path is
                  not faster or any verdict diverges)
-     parallel    process-pool sharding of the fig7 suite (plus an
-                 all-pairs fan-out) at -j1/-j2/-j4 and a strategy
-                 portfolio on the hardest query; writes
-                 BENCH_parallel.json.  Verdict agreement with the
-                 sequential session is always gated; wall-clock
-                 speedup is gated only when the machine actually has
-                 the cores (single-core CI cannot speed up forks)
      solver      the restart-mode / rephasing strategy grid ({Luby,
                  Ema_lbd} x {rephase on, off}) on the enterprise and
                  fattree suites; writes BENCH_solver.json (--smoke:
@@ -74,7 +67,7 @@
      micro       Bechamel micro-benchmarks of the SMT substrate
      all         everything above
 
-   Usage: dune exec bench/main.exe -- [fig7|fig8|opts|violations|batch|parallel|solver|certify|scale|arena|serve|fault|micro|all] [--full|--smoke] [--resume]
+   Usage: dune exec bench/main.exe -- [fig7|fig8|opts|violations|batch|solver|certify|scale|arena|serve|fault|micro|all] [--full|--smoke] [--resume]
 
    By default the expensive sweeps are subsampled so the whole harness
    finishes in minutes; pass --full for the complete paper-scale runs
@@ -483,146 +476,6 @@ let batch ~smoke () =
     end
     else print_endline "   smoke OK: session faster than fresh solves, identical verdicts"
 
-(* ---------------- parallel verification (process pool) ---------------- *)
-
-(* The fig7 suite plus a per-destination all-pairs fan-out over one
-   enterprise network: enough independent queries for sharding to
-   matter.  Correctness (verdict agreement with the in-process
-   sequential session) is gated unconditionally; wall-clock speedup is
-   gated only when the machine exposes at least [jobs] cores, because a
-   fork pool cannot beat sequential on a single core no matter how the
-   scheduler behaves. *)
-let parallel ~smoke () =
-  print_endline "== parallel verification: process-pool sharding of the fig7 suite ==";
-  let cores = Engine.available_cores () in
-  let routers = if smoke then 10 else if !full then 20 else 14 in
-  let seed = 3 in
-  let t = G.Enterprise.make ~seed ~routers ~inject:G.Enterprise.no_bugs () in
-  let net = t.G.Enterprise.network in
-  let enc = MS.Encode.build net MS.Options.default in
-  let devices = MS.Encode.devices enc in
-  let all_pairs =
-    List.filter_map
-      (fun d ->
-        if MS.Encode.subnets enc d = [] then None
-        else begin
-          let srcs = List.filter (fun s -> s <> d) devices in
-          Some
-            (MS.Verify.Query.v
-               ("reachability *->" ^ d)
-               (fun enc -> MS.Property.reachability enc ~sources:srcs (MS.Property.Device d)))
-        end)
-      devices
-  in
-  let queries =
-    List.map (fun (name, make) -> MS.Verify.Query.v name make) (batch_suite t) @ all_pairs
-  in
-  let n = List.length queries in
-  Printf.printf "   enterprise seed=%d routers=%d: %d queries, %d core(s) visible\n%!" seed
-    routers n cores;
-  let seq_reports, seq_ms = time (fun () -> Engine.run ~jobs:1 enc queries) in
-  Printf.printf "   -j1 (in-process)  %10.1f ms\n%!" seq_ms;
-  let verdicts rs =
-    List.map
-      (fun (r : MS.Verify.Report.t) ->
-        (r.MS.Verify.Report.label, MS.Verify.Report.verdict_name r.MS.Verify.Report.verdict))
-      rs
-  in
-  let seq_verdicts = verdicts seq_reports in
-  let job_counts = if smoke then [ 2 ] else [ 2; 4 ] in
-  let runs =
-    List.map
-      (fun jobs ->
-        let reports, ms = time (fun () -> Engine.run ~jobs enc queries) in
-        let agree = verdicts reports = seq_verdicts in
-        let measured =
-          if cores >= jobs then Printf.sprintf "speedup %5.2fx" (seq_ms /. ms)
-          else "skipped_low_cores"
-        in
-        Printf.printf "   -j%-2d              %10.1f ms  %s%s\n%!" jobs ms measured
-          (if agree then "" else "  !! verdicts diverge from -j1");
-        (jobs, ms, agree))
-      job_counts
-  in
-  (* Portfolio: race the strategy variants on the hardest query of the
-     sequential run. *)
-  let hardest_q, hardest_r =
-    List.fold_left
-      (fun ((_, (br : MS.Verify.Report.t)) as best) ((_, (r : MS.Verify.Report.t)) as cur) ->
-        if r.MS.Verify.Report.wall_ms > br.MS.Verify.Report.wall_ms then cur else best)
-      (List.hd (List.combine queries seq_reports))
-      (List.combine queries seq_reports)
-  in
-  let port_report, port_ms = time (fun () -> Engine.portfolio enc hardest_q) in
-  let port_agree =
-    MS.Verify.Report.verdict_name port_report.MS.Verify.Report.verdict
-    = MS.Verify.Report.verdict_name hardest_r.MS.Verify.Report.verdict
-  in
-  Printf.printf "   portfolio on %-20s %8.1f ms  winner %s%s\n%!"
-    port_report.MS.Verify.Report.label port_ms
-    (match port_report.MS.Verify.Report.strategy with Some s -> s | None -> "-")
-    (if port_agree then "" else "  !! verdict diverges from -j1");
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": 2,\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"network\": { \"kind\": \"enterprise\", \"seed\": %d, \"routers\": %d },\n" seed
-       routers);
-  Buffer.add_string buf (Printf.sprintf "  \"cores\": %d,\n" cores);
-  Buffer.add_string buf (Printf.sprintf "  \"queries\": %d,\n" n);
-  Buffer.add_string buf (Printf.sprintf "  \"sequential_ms\": %.2f,\n" seq_ms);
-  Buffer.add_string buf "  \"runs\": [\n";
-  (* A fork pool on fewer cores than jobs cannot speed anything up: the
-     run is labelled skipped_low_cores (agreement still recorded)
-     instead of reporting a regression-shaped "speedup" number. *)
-  List.iteri
-    (fun i (jobs, ms, agree) ->
-      let measured =
-        if cores >= jobs then
-          Printf.sprintf "\"status\": \"ok\", \"speedup\": %.3f" (seq_ms /. ms)
-        else "\"status\": \"skipped_low_cores\""
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "    { \"jobs\": %d, \"ms\": %.2f, %s, \"verdicts_agree\": %b }%s\n"
-           jobs ms measured agree
-           (if i = List.length runs - 1 then "" else ",")))
-    runs;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"portfolio\": { \"label\": \"%s\", \"ms\": %.2f, \"winner\": \"%s\", \
-        \"verdicts_agree\": %b },\n"
-       (Msutil.Json.escape port_report.MS.Verify.Report.label)
-       port_ms
-       (match port_report.MS.Verify.Report.strategy with Some s -> s | None -> "")
-       port_agree);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"reports\": %s\n" (MS.Verify.Report.list_to_json seq_reports));
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  print_endline "   wrote BENCH_parallel.json";
-  let all_agree = port_agree && List.for_all (fun (_, _, a) -> a) runs in
-  if not all_agree then begin
-    prerr_endline "bench parallel: verdict divergence between parallel and sequential runs";
-    exit 1
-  end;
-  List.iter
-    (fun (jobs, ms, _) ->
-      let target = if smoke then 1.3 else 2.0 in
-      if cores >= jobs && seq_ms /. ms < target then begin
-        Printf.eprintf "bench parallel: -j%d speedup %.2fx below the %.1fx target on %d cores\n"
-          jobs (seq_ms /. ms) target cores;
-        exit 1
-      end
-      else if cores < jobs then
-        Printf.printf
-          "   (speedup gate for -j%d skipped: only %d core(s) — agreement still enforced)\n%!"
-          jobs cores)
-    runs;
-  if all_agree then print_endline "   parallel OK: verdicts identical to the sequential session"
-
 (* ---------------- solver-throughput ablation ---------------- *)
 
 (* The fattree property suite as labelled query builders (the fig8
@@ -983,8 +836,7 @@ let certify_bench ~smoke () =
 
    The quotient points run at every size; the full encoding gets a
    wall-clock budget, and once one point blows it the remaining full
-   points are skipped with an explicit skipped_off_budget label —
-   mirroring the parallel bench's skipped_low_cores convention — so a
+   points are skipped with an explicit skipped_off_budget label, so a
    missing number is a recorded decision, not a silent gap.  Under
    --full every completed point is checkpointed to
    BENCH_scale.rows.jsonl (and BENCH_scale.json is rewritten) as it
@@ -2061,7 +1913,6 @@ let () =
    | "violations" -> violations ()
    | "micro" -> micro ()
    | "batch" -> batch ~smoke ()
-   | "parallel" -> parallel ~smoke ()
    | "solver" -> solver_bench ~smoke ()
    | "certify" -> certify_bench ~smoke ()
    | "scale" -> scale ~smoke ~resume ()
@@ -2079,8 +1930,6 @@ let () =
      print_newline ();
      batch ~smoke ();
      print_newline ();
-     parallel ~smoke ();
-     print_newline ();
      solver_bench ~smoke ();
      print_newline ();
      certify_bench ~smoke ();
@@ -2096,7 +1945,7 @@ let () =
      micro ()
    | other ->
      Printf.eprintf
-       "unknown benchmark %s (fig7|fig8|opts|violations|batch|parallel|solver|certify|scale|arena|serve|fault|micro|all)\n"
+       "unknown benchmark %s (fig7|fig8|opts|violations|batch|solver|certify|scale|arena|serve|fault|micro|all)\n"
        other;
      exit 2);
   Printf.printf "\ntotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0)

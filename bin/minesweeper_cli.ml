@@ -31,9 +31,8 @@ let load_network path =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"CONFIG" ~doc:"Configuration file.")
 
-let opts_of ?(slice = false) naive failures =
+let opts_of naive failures =
   let base = if naive then MS.Options.naive else MS.Options.default in
-  let base = if slice then MS.Options.with_slicing base else base in
   match failures with None -> base | Some k -> MS.Options.with_failures k base
 
 (* ---- verify ---- *)
@@ -87,9 +86,6 @@ let verify_cmd =
              records which path answered (graph, smt, or fallback).")
   in
   let naive = Arg.(value & flag & info [ "naive" ] ~doc:"Disable the optimizations of \xc2\xa76.") in
-  let slice =
-    Arg.(value & flag & info [ "slice" ] ~doc:"Delete provably-dead policy clauses before encoding.")
-  in
   let no_lint =
     Arg.(value & flag & info [ "no-lint" ] ~doc:"Skip the pre-flight lint of the configuration.")
   in
@@ -109,15 +105,6 @@ let verify_cmd =
              (per-destination reachability from every other device). Example: \
              $(b,--batch reachability,blackholes,loops) or $(b,--batch all-pairs).")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Shard the query suite across $(docv) worker processes, each running its shard on \
-             its own incremental session. Results are reported in query order regardless of \
-             completion order; 1 (the default) answers everything in-process.")
-  in
   let timeout =
     Arg.(
       value
@@ -134,7 +121,7 @@ let verify_cmd =
           ~doc:
             "Race the solver-strategy portfolio (restart cadence, activity decay, branching \
              polarity variants) on each query, one process per strategy, and keep the first \
-             decisive answer. Useful for one hard query; ignores $(b,--jobs).")
+             decisive answer. Useful for one hard query.")
   in
   let format =
     Arg.(
@@ -169,10 +156,9 @@ let verify_cmd =
              must stay concrete.")
   in
   let run file property sources dst_device dst_prefix bound devices max_len failures
-        max_failures naive slice no_lint allowed batch jobs timeout portfolio format certify
-        symmetry =
+        max_failures naive no_lint allowed batch timeout portfolio format certify symmetry =
     let net = load_network file in
-    let opts = opts_of ~slice naive failures in
+    let opts = opts_of naive failures in
     let opts = if no_lint then { opts with MS.Options.preflight_lint = false } else opts in
     let opts = if certify then MS.Options.with_certify opts else opts in
     (* shared tail: render a report suite and exit with its code *)
@@ -201,10 +187,7 @@ let verify_cmd =
                match r.MS.Verify.Report.strategy with
                | Some s when meth_tag = Printf.sprintf "  [%s]" s -> ""
                | Some s -> Printf.sprintf "  [%s]" s
-               | None ->
-                 if r.MS.Verify.Report.worker > 0 then
-                   Printf.sprintf "  [w%d]" r.MS.Verify.Report.worker
-                 else ""
+               | None -> ""
              in
              let cert_tag =
                match r.MS.Verify.Report.certificate with
@@ -387,7 +370,9 @@ let verify_cmd =
     let t0 = Unix.gettimeofday () in
     let reports =
       if portfolio then List.map (fun q -> Engine.portfolio ?timeout enc q) queries
-      else Engine.run ~jobs ?timeout enc queries
+      else
+        MS.Verify.Session.run (MS.Verify.Session.of_encoding enc)
+          (List.map (MS.Verify.Query.with_default_timeout timeout) queries)
     in
     finish t0 reports
   in
@@ -395,9 +380,9 @@ let verify_cmd =
     [
       `S Manpage.s_exit_status;
       `P "0 — every property holds.";
-      `P "1 — at least one property is violated (dominates timeouts and worker errors).";
+      `P "1 — at least one property is violated (dominates timeouts and errors).";
       `P "2 — usage, parse, or lint error: nothing was verified.";
-      `P "3 — a query timed out or a worker failed, and nothing was violated.";
+      `P "3 — a query timed out or failed with an error, and nothing was violated.";
       `P
         "4 — with $(b,--certify): a verdict's independent certificate failed (dominates every \
          other status; the verdict cannot be trusted in either direction).";
@@ -406,8 +391,8 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~man ~doc:"Verify a property of a configuration.")
     Term.(
       const run $ file_arg $ property $ sources $ dst_device $ dst_prefix $ bound $ devices
-      $ max_len $ failures $ max_failures $ naive $ slice $ no_lint $ allowed $ batch $ jobs
-      $ timeout $ portfolio $ format $ certify $ symmetry)
+      $ max_len $ failures $ max_failures $ naive $ no_lint $ allowed $ batch $ timeout
+      $ portfolio $ format $ certify $ symmetry)
 
 (* ---- lint ---- *)
 
@@ -512,15 +497,6 @@ let serve_cmd =
       & info [ "socket" ] ~docv:"PATH"
           ~doc:"Unix-domain socket to listen on (an existing file is replaced).")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Cap on the per-request worker-process fan-out; query requests asking for more are \
-             clamped. 1 (the default) answers everything in-process on the persistent \
-             incremental session.")
-  in
   let failures =
     Arg.(value & opt (some int) None & info [ "failures"; "k" ] ~doc:"Verify under up to $(docv) link failures.")
   in
@@ -528,10 +504,10 @@ let serve_cmd =
   let no_lint =
     Arg.(value & flag & info [ "no-lint" ] ~doc:"Skip the pre-flight lint when encoding.")
   in
-  let run socket jobs failures naive no_lint =
+  let run socket failures naive no_lint =
     let opts = opts_of naive failures in
     let opts = if no_lint then { opts with MS.Options.preflight_lint = false } else opts in
-    Serve.run (Serve.create ~jobs opts) ~socket
+    Serve.run (Serve.create opts) ~socket
   in
   let man =
     [
@@ -540,9 +516,8 @@ let serve_cmd =
         "Run the verification daemon: a long-lived process speaking line-delimited JSON \
          (schema 2) over a Unix-domain socket. Each request line is one object with an \
          $(b,op) field — $(b,load) and $(b,diff) carry a $(b,config) string, $(b,query) \
-         carries a $(b,queries) array of property specs (the $(b,verify) vocabulary) and an \
-         optional $(b,jobs), and $(b,stats)/$(b,shutdown) take no arguments. Each response \
-         is one JSON line.";
+         carries a $(b,queries) array of property specs (the $(b,verify) vocabulary), and \
+         $(b,stats)/$(b,shutdown) take no arguments. Each response is one JSON line.";
       `P
         "The daemon caches encodings by concrete configuration digest and verdicts by query \
          spec; a $(b,diff) whose change is disjoint from a cached verdict's support set \
@@ -554,7 +529,7 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve" ~man ~doc:"Run the verification daemon on a Unix-domain socket.")
-    Term.(const run $ socket $ jobs $ failures $ naive $ no_lint)
+    Term.(const run $ socket $ failures $ naive $ no_lint)
 
 (* ---- parse ---- *)
 

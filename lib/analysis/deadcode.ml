@@ -11,11 +11,7 @@
     - MS-W203: route-map clause can never match (prefix-list undefined,
       empty, or unable to permit anything)
     - MS-W204: route-map clause unreachable (an earlier clause matches
-      everything)
-
-    The [dead_*] index functions are shared with {!Slice}, so the
-    linter's findings and the slicer's deletions agree by
-    construction. *)
+      everything) *)
 
 module A = Config.Ast
 module D = Diagnostic

@@ -970,7 +970,6 @@ let project_devices t ds =
 
 let build ?(suffix = "") ?(pins = []) net opts =
   if opts.Options.preflight_lint then Analysis.Lint.preflight net;
-  let net = if opts.Options.lint_slice then Analysis.Slice.network net else net in
   (* Symmetry quotient: substitute the reduced network when the
      analysis finds interchangeable devices.  Disabled under
      [max_failures]: one representative link stands for a whole class

@@ -21,9 +21,7 @@ val build : ?suffix:string -> ?pins:string list -> Config.Ast.network -> Options
     When [opts.preflight_lint] is set (the default), the {!Analysis}
     linter runs first and Error-level findings abort the build with
     {!Analysis.Lint.Lint_errors} — a broken configuration is reported,
-    not encoded.  When [opts.lint_slice] is set, provably-dead policy
-    clauses and filter entries are deleted before encoding (verdicts
-    are unchanged; see {!Analysis.Slice}).
+    not encoded.
 
     When [opts.symmetry] is set, the symmetry analysis
     ({!Analysis.Symmetry.reduce}) replaces the network by its quotient:

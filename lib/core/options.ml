@@ -47,12 +47,6 @@ type t = {
           objects, AS mismatches, ...): {!Encode.build} raises
           {!Analysis.Lint.Lint_errors} instead of silently verifying
           the wrong network. *)
-  lint_slice : bool;
-      (** Lint-driven slicing: before encoding, delete route-map
-          clauses and prefix-list/ACL entries the dead-code analysis
-          proves can never fire (the linter's MS-W201/202/203/204
-          findings).  Verification verdicts are unchanged; the formula
-          shrinks. *)
   strategy : Smt.Solver.strategy;
       (** SAT search strategy (VSIDS decay, restart cadence, branching
           polarity) used by every solver created for this encoding.
@@ -81,7 +75,6 @@ let default =
     fail_internal_only = false;
     symmetry = false;
     preflight_lint = true;
-    lint_slice = false;
     (* Production default: Glucose-style adaptive (EMA-of-LBD) restarts
        plus periodic rephasing.  [Smt.Solver.default_strategy] keeps
        the Luby cadence with rephasing off as the neutral library
@@ -102,7 +95,6 @@ let naive = { default with hoist_prefixes = false; slice_unused = false; merge_f
 
 let with_failures k t = { t with max_failures = Some k }
 let with_symmetry t = { t with symmetry = true }
-let with_slicing t = { t with lint_slice = true }
 let with_strategy st t = { t with strategy = st }
 let with_certify t = { t with certify = true }
 

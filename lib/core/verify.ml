@@ -65,8 +65,8 @@ module Report = struct
     wall_ms : float;
     stats : Solver.stats;
         (* per-query solver work: absolute for a fresh solver, the
-           delta over the enclosing session/worker otherwise *)
-    worker : int;  (* 0 = in-process; workers of a pool count from 1 *)
+           delta over the enclosing session otherwise *)
+    worker : int;  (* 0 = in-process; portfolio racers count from 1 *)
     strategy : string option;  (* winning variant, in portfolio mode *)
     support : string list option;
         (* Verified verdicts from a support-tracking session: the
@@ -132,6 +132,20 @@ module Report = struct
       arena_words = 0;
       arena_compactions = 0;
       minor_words = 0.0;
+    }
+
+  let v label verdict =
+    {
+      label;
+      verdict;
+      certificate = Uncertified;
+      wall_ms = 0.0;
+      stats = empty_stats;
+      worker = 0;
+      strategy = None;
+      support = None;
+      replayed = false;
+      method_ = None;
     }
 
   (* Decisions per conflict: how much of the search is blind walking
@@ -219,7 +233,7 @@ module Report = struct
   let list_to_json rs =
     "[\n    " ^ String.concat ",\n    " (List.map to_json rs) ^ "\n  ]"
 
-  (* Uniform process exit codes (single, batch and parallel mode):
+  (* Uniform process exit codes (single, batch and portfolio mode):
      0 every query holds, 1 any violation, 3 any timeout or worker
      error, 4 any certification failure (2 is reserved for usage/parse
      errors, signalled before any query runs).  A violation dominates a
@@ -271,18 +285,8 @@ let run_query enc (q : Query.t) : Report.t =
   let certify = (Encode.options enc).Options.certify in
   let t0 = now () in
   let finish verdict certificate stats =
-    {
-      Report.label = q.Query.label;
-      verdict;
-      certificate;
-      wall_ms = (now () -. t0) *. 1000.0;
-      stats;
-      worker = 0;
-      strategy = None;
-      support = None;
-      replayed = false;
-      method_ = None;
-    }
+    { (Report.v q.Query.label verdict) with
+      Report.certificate; wall_ms = (now () -. t0) *. 1000.0; stats }
   in
   let solver = solve_assertions enc (q.Query.prop enc) in
   set_deadline solver q.Query.timeout;
@@ -371,7 +375,7 @@ module Session = struct
   let guard_owner s =
     if Unix.getpid () <> s.owner then
       invalid_arg
-        "Verify.Session: session used from a forked process; create one session per worker"
+        "Verify.Session: session used from a forked process; create one session per process"
 
   let check s prop =
     guard_owner s;
@@ -460,18 +464,11 @@ module Session = struct
           Report.Certification_failed "no model stashed for a Violated verdict"
         | (Report.Timeout | Report.Error _), _ -> Report.Uncertified
     in
-    {
-      Report.label = q.Query.label;
-      verdict;
-      certificate;
+    { (Report.v q.Query.label verdict) with
+      Report.certificate;
       wall_ms = (now () -. t0) *. 1000.0;
       stats = stats_delta before (Solver.stats s.solver);
-      worker = 0;
-      strategy = None;
-      support = (match verdict with Report.Verified -> s.last_support | _ -> None);
-      replayed = false;
-      method_ = None;
-    }
+      support = (match verdict with Report.Verified -> s.last_support | _ -> None) }
 
   let run s queries = List.map (run_one s) queries
 end
@@ -619,7 +616,7 @@ module Protocol = struct
   type request =
     | Load of string
     | Diff of string
-    | Query of { specs : query_spec list; jobs : int }
+    | Query of { specs : query_spec list }
     | Stats
     | Shutdown
 
@@ -668,9 +665,6 @@ module Protocol = struct
           | Some c -> Ok (Diff c)
           | None -> Error "\"diff\" needs a \"config\" string")
         | Some "query" -> (
-          let jobs =
-            Option.value ~default:1 (Option.bind (J.member "jobs" v) J.get_int)
-          in
           match Option.bind (J.member "queries" v) J.get_list with
           | None -> Error "\"query\" needs a \"queries\" array"
           | Some [] -> Error "\"queries\" must not be empty"
@@ -682,7 +676,7 @@ module Protocol = struct
                 | (Error _ as e), _ -> e
                 | _, (Error _ as e) -> e)
               vs (Ok [])
-            |> Result.map (fun specs -> Query { specs; jobs }))
+            |> Result.map (fun specs -> Query { specs }))
         | Some "stats" -> Ok Stats
         | Some "shutdown" -> Ok Shutdown
         | Some other -> Error ("unknown op " ^ other)))

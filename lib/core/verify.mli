@@ -1,8 +1,8 @@
 (** Top-level verification: the {!Query}/{!Report} API.
 
     Every verification path — one-shot {!run_query}, incremental
-    {!Session}s, the process-pool engine, portfolio racing, the serve
-    daemon — answers labelled {!Query.t}s with uniform {!Report.t}s.
+    {!Session}s, portfolio racing, the serve daemon — answers
+    labelled {!Query.t}s with uniform {!Report.t}s.
     A query asserts the network semantics, the property's
     instrumentation and assumptions, and the negation of its goal.
     UNSAT ⇒ the property is [Verified] in every stable state, for every
@@ -15,10 +15,9 @@ type outcome = Holds | Violation of Counterexample.t
     extracts it from a report. *)
 
 (** A labelled property query: the unit of work of every verification
-    path (sequential sessions, the process-pool engine, portfolio
-    racing, the serve daemon).  The property is a thunk over the
-    encoding so the same query can be replayed against per-worker
-    sessions. *)
+    path (sequential sessions, portfolio racing, the serve daemon).
+    The property is a thunk over the encoding so the same query can be
+    replayed against each racer's own session. *)
 module Query : sig
   type t = {
     label : string;
@@ -42,7 +41,7 @@ module Report : sig
     | Verified  (** the property holds in every stable state *)
     | Violated of Counterexample.t
     | Timeout  (** the query's wall-clock budget expired *)
-    | Error of string  (** the worker crashed or the query raised *)
+    | Error of string  (** a racer crashed or the query raised *)
 
   (** Independent evidence for a verdict, produced when the encoding
       was built with [Options.certify].  [Checked_unsat_proof]: the
@@ -54,7 +53,7 @@ module Report : sig
       assignment was re-evaluated over the original asserted terms and
       the decoded counterexample was replayed through the concrete
       routing simulator.  Certificates are plain data and survive
-      marshalling across the {!Engine} worker boundary. *)
+      marshalling across the {!Engine} racer boundary. *)
   type certificate =
     | Uncertified
     | Checked_unsat_proof of { trace_steps : int; clauses : int; lemmas : int }
@@ -76,7 +75,7 @@ module Report : sig
     stats : Smt.Solver.stats;
         (** per-query solver work: absolute for a fresh solver, a delta
             over the enclosing session otherwise *)
-    worker : int;  (** 0 when answered in-process; pool workers count from 1 *)
+    worker : int;  (** 0 when answered in-process; portfolio racers count from 1 *)
     strategy : string option;  (** winning variant, in portfolio mode *)
     support : string list option;
         (** [Verified] verdicts from a support-tracking session: the
@@ -114,6 +113,12 @@ module Report : sig
   (** @raise Invalid_argument on [Timeout] and [Error] verdicts. *)
 
   val empty_stats : Smt.Solver.stats
+
+  val v : string -> verdict -> t
+  (** [v label verdict]: a report no solver produced — [Uncertified],
+      zero wall time, {!empty_stats}, worker 0, no strategy, support or
+      method.  Crashed racers, watchdog timeouts and the fault graph
+      path build theirs with [{ (v label verdict) with ... }]. *)
 
   val decisions_per_conflict : Smt.Solver.stats -> float
   (** Decisions per conflict ([0.] when no conflicts): how much of the
@@ -185,8 +190,7 @@ module Session : sig
       is the delta over this query alone. *)
 
   val run : t -> Query.t list -> Report.t list
-  (** Answer a suite in order; the sequential baseline every parallel
-      mode is measured against. *)
+  (** Answer a suite in order on the session's one solver. *)
 
   val queries : t -> int
   (** Number of queries checked so far. *)
@@ -273,7 +277,7 @@ module Protocol : sig
   type request =
     | Load of string
     | Diff of string
-    | Query of { specs : query_spec list; jobs : int }
+    | Query of { specs : query_spec list }
     | Stats
     | Shutdown
 

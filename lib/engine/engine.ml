@@ -1,37 +1,28 @@
-(* Fork-based parallel verification.
+(* Fork-based portfolio racing.
 
-   The parent builds the encoding once, then forks workers that inherit
-   it (and the query closures) by copy-on-write — nothing is serialized
-   on the way in; only reports cross a process boundary, as framed
-   marshalled messages on a per-worker pipe.  Each worker answers its
-   shard on a private incremental session, so learnt clauses amortize
-   within a shard but never cross processes.
+   The parent builds the encoding once, then forks one racer per
+   strategy (and per extra method) that inherits it, and the query
+   closure, by copy-on-write — nothing is serialized on the way in;
+   only reports and shared clauses cross a process boundary, as framed
+   marshalled messages on per-racer pipes.
 
-   Scheduler invariants:
-   - results are indexed by query position and reassembled at the end,
-     so the report order is the query order, whatever the completion
-     order;
-   - a worker announces [Started i] before attacking query [i]; on a
-     crash (EOF without a clean shard) the parent therefore knows
-     exactly which query to blame, requeues it once on a fresh worker,
-     and marks it [Error] on a second crash — queries the dead worker
-     had not started are requeued without penalty;
-   - per-query timeouts are enforced cooperatively in the worker (the
-     solver's stop hook; verdict [Timeout]) and by a parent-side
-     watchdog that SIGKILLs a worker stuck past twice the budget. *)
+   Invariants:
+   - the first decisive report (Verified/Violated) wins and every other
+     racer is killed; every racer is reaped before [portfolio] returns;
+   - the per-query wall-clock budget is enforced cooperatively in each
+     racer (the solver's stop hook; verdict [Timeout]) and by a
+     parent-side watchdog that gives up on the race past twice the
+     budget. *)
 
 module Verify = Minesweeper.Verify
 module Query = Minesweeper.Verify.Query
 module Report = Minesweeper.Verify.Report
 
 type wire =
-  | Started of int
-  | Finished of int * Report.t
+  | Finished of Report.t
   | Learned of int array list
-      (* low-LBD clauses a portfolio racer learnt, in the shared CNF's
-         literal numbering; the parent rebroadcasts them to siblings *)
-
-let available_cores () = Domain.recommended_domain_count ()
+      (* low-LBD clauses a racer learnt, in the shared CNF's literal
+         numbering; the parent rebroadcasts them to siblings *)
 
 (* -- pipe framing: 4-byte big-endian length + marshalled payload ----------- *)
 
@@ -98,7 +89,7 @@ let rec send_clauses fd = function
       send_clauses fd rest
     end
 
-(* Consume every complete frame buffered for a worker.  [Marshal] needs
+(* Consume every complete frame buffered for a racer.  [Marshal] needs
    a contiguous view, so the buffer is rebuilt from the leftover — the
    messages are small and rare enough that this never matters. *)
 let drain_frames buf handle =
@@ -124,12 +115,12 @@ let drain_frames buf handle =
     end
   done
 
-(* -- worker side ----------------------------------------------------------- *)
+(* -- racer side ------------------------------------------------------------ *)
 
-(* Wire a portfolio racer's session into the clause exchange: export
-   low-LBD learnt clauses up the report pipe, and poll the import pipe
-   for siblings' clauses.  Both happen inside the solver's restart hook
-   — decision level 0, propagation complete — where imported clauses
+(* Wire a racer's session into the clause exchange: export low-LBD
+   learnt clauses up the report pipe, and poll the import pipe for
+   siblings' clauses.  Both happen inside the solver's restart hook —
+   decision level 0, propagation complete — where imported clauses
    attach with valid watches (and, under --certify, pass the RUP check
    that keeps the proof trace sound; see Smt.Solver.import_clause). *)
 let wire_sharing session ~import_fd ~report_fd =
@@ -153,7 +144,7 @@ let wire_sharing session ~import_fd ~report_fd =
                 drain_frames ibuf (function
                   | Learned clauses ->
                     List.iter (fun c -> ignore (Smt.Solver.import_clause solver c)) clauses
-                  | Started _ | Finished _ -> ());
+                  | Finished _ -> ());
                 pump ()
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
               | exception _ -> ())
@@ -162,225 +153,53 @@ let wire_sharing session ~import_fd ~report_fd =
          in
          pump ()))
 
-let worker_main ~worker_id ?strategy ?strategy_name ?support ?import enc shard wfd =
-  (try
-     let session = Verify.Session.of_encoding ?strategy ?support enc in
-     (match import with
-      | Some import_fd -> wire_sharing session ~import_fd ~report_fd:wfd
-      | None -> ());
-     List.iter
-       (fun (idx, q) ->
-         write_msg wfd (Started idx);
-         let r =
-           try Verify.Session.run_one session q with
-           | e ->
-             {
-               Report.label = q.Query.label;
-               verdict = Report.Error (Printexc.to_string e);
-               certificate = Report.Uncertified;
-               wall_ms = 0.0;
-               stats = Report.empty_stats;
-               worker = worker_id;
-               strategy = None;
-               support = None;
-               replayed = false;
-               method_ = None;
-             }
-         in
-         write_msg wfd
-           (Finished (idx, { r with Report.worker = worker_id; strategy = strategy_name })))
-       shard
-   with _ -> ());
-  (try Unix.close wfd with _ -> ());
-  Unix._exit 0
-
 (* -- parent side ----------------------------------------------------------- *)
 
-type worker = {
+type racer = {
   pid : int;
-  wid : int;
-  fd : Unix.file_descr;
+  fd : Unix.file_descr;  (* racer -> parent: its report and exported clauses *)
+  import : Unix.file_descr option;
+      (* parent -> racer clause rebroadcast; non-blocking, so a slow
+         importer never stalls the race (clause hints are droppable) *)
   buf : Buffer.t;
-  mutable current : int option;  (* query index in flight *)
-  mutable started_at : float;
-  mutable remaining : (int * Query.t) list;  (* shard minus finished queries *)
+  mutable alive : bool;
 }
 
-let sequential ?support enc queries =
-  Verify.Session.run (Verify.Session.of_encoding ?support enc) queries
-
-let run ?jobs ?timeout ?support enc queries =
-  let queries = List.map (Query.with_default_timeout timeout) queries in
-  let jobs = match jobs with Some j -> max 1 j | None -> available_cores () in
-  let n = List.length queries in
-  if jobs <= 1 || n <= 1 then sequential ?support enc queries
-  else begin
-    let qarr = Array.of_list queries in
-    let results = Array.make n None in
-    let attempts = Array.make n 0 in
-    (* Deal queries round-robin so adjacent (often similar) queries
-       spread across workers. *)
-    let shards = Array.make jobs [] in
-    Array.iteri (fun i q -> shards.(i mod jobs) <- (i, q) :: shards.(i mod jobs)) qarr;
-    let shards = Array.map List.rev shards in
-    let next_wid = ref 0 in
-    let workers = ref [] in
-    let spawn shard =
-      if shard <> [] then begin
-        incr next_wid;
-        let wid = !next_wid in
-        let r, w = Unix.pipe () in
-        let sibling_fds = List.map (fun wk -> wk.fd) !workers in
-        flush stdout;
-        flush stderr;
-        match Unix.fork () with
-        | 0 ->
-          Unix.close r;
-          List.iter (fun fd -> try Unix.close fd with _ -> ()) sibling_fds;
-          worker_main ~worker_id:wid ?support enc shard w
-        | pid ->
-          Unix.close w;
-          workers :=
-            {
-              pid;
-              wid;
-              fd = r;
-              buf = Buffer.create 1024;
-              current = None;
-              started_at = Unix.gettimeofday ();
-              remaining = shard;
-            }
-            :: !workers
-      end
-    in
-    let synthetic idx verdict wid =
-      {
-        Report.label = qarr.(idx).Query.label;
-        verdict;
-        certificate = Report.Uncertified;
-        wall_ms = 0.0;
-        stats = Report.empty_stats;
-        worker = wid;
-        strategy = None;
-        support = None;
-        replayed = false;
-        method_ = None;
-      }
-    in
-    let unfinished w = List.filter (fun (i, _) -> results.(i) = None) w.remaining in
-    (* A worker died (EOF or watchdog kill) with work outstanding:
-       blame the in-flight query — or the next one up, if it died
-       between queries — and requeue the rest on a fresh worker. *)
-    let finish_worker w ~timed_out =
-      workers := List.filter (fun x -> x.wid <> w.wid) !workers;
-      (try Unix.close w.fd with _ -> ());
-      (try ignore (Unix.waitpid [] w.pid) with _ -> ());
-      match unfinished w with
-      | [] -> ()
-      | (head, _) :: rest_q ->
-        let blamed =
-          match w.current with
-          | Some i when results.(i) = None -> i
-          | _ -> head
-        in
-        let rest = List.filter (fun (i, _) -> i <> blamed) ((head, qarr.(head)) :: rest_q) in
-        let requeue =
-          if timed_out then begin
-            results.(blamed) <-
-              Some
-                {
-                  (synthetic blamed Report.Timeout w.wid) with
-                  Report.wall_ms = (Unix.gettimeofday () -. w.started_at) *. 1000.0;
-                };
-            rest
-          end
-          else begin
-            attempts.(blamed) <- attempts.(blamed) + 1;
-            if attempts.(blamed) >= 2 then begin
-              results.(blamed) <-
-                Some
-                  (synthetic blamed
-                     (Report.Error "worker crashed twice on this query (one requeue attempted)")
-                     w.wid);
-              rest
-            end
-            else (blamed, qarr.(blamed)) :: rest
-          end
-        in
-        spawn requeue
-    in
-    let handle_msg w = function
-      | Started i ->
-        w.current <- Some i;
-        w.started_at <- Unix.gettimeofday ()
-      | Finished (i, r) ->
-        if results.(i) = None then results.(i) <- Some r;
-        w.current <- None;
-        w.remaining <- List.filter (fun (j, _) -> j <> i) w.remaining
-      | Learned _ -> ()  (* sharded runs don't share clauses *)
-    in
-    let tmp = Bytes.create 65536 in
-    let read_worker w =
-      match Unix.read w.fd tmp 0 (Bytes.length tmp) with
-      | 0 ->
-        drain_frames w.buf (handle_msg w);
-        finish_worker w ~timed_out:false
-      | k ->
-        Buffer.add_subbytes w.buf tmp 0 k;
-        drain_frames w.buf (handle_msg w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    in
-    Array.iter spawn shards;
-    while !workers <> [] do
-      (* Watchdog: a worker stuck past twice its current query's budget
-         missed its cooperative cancellation — kill it.  Drain the pipe
-         first in case the report is already in flight. *)
-      let now = Unix.gettimeofday () in
-      let overdue, next_deadline =
-        List.fold_left
-          (fun (ov, dl) w ->
-            match w.current with
-            | Some i ->
-              (match qarr.(i).Query.timeout with
-               | Some t ->
-                 let kill_at = w.started_at +. (2.0 *. t) +. 1.0 in
-                 if now >= kill_at then (w :: ov, dl) else (ov, Float.min dl (kill_at -. now))
-               | None -> (ov, dl))
-            | None -> (ov, dl))
-          ([], 3600.0) !workers
-      in
-      List.iter
-        (fun w ->
-          (match Unix.select [ w.fd ] [] [] 0.0 with
-           | [ _ ], _, _ -> read_worker w
-           | _ -> ()
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          if List.exists (fun x -> x.wid = w.wid) !workers && w.current <> None then begin
-            (try Unix.kill w.pid Sys.sigkill with _ -> ());
-            finish_worker w ~timed_out:true
-          end)
-        overdue;
-      match !workers with
-      | [] -> ()
-      | ws -> (
-        let fds = List.map (fun w -> w.fd) ws in
-        match Unix.select fds [] [] next_deadline with
-        | ready, _, _ ->
-          List.iter
-            (fun fd ->
-              match List.find_opt (fun w -> w.fd = fd) !workers with
-              | Some w -> read_worker w
-              | None -> ())
-            ready
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    done;
-    Array.to_list
-      (Array.mapi
-         (fun i -> function
-           | Some r -> r
-           | None -> synthetic i (Report.Error "query lost by the scheduler") 0)
-         results)
-  end
+(* Fork one racer.  The child computes its report with [answer] — given
+   its report pipe and, when [import], the read end of its import pipe
+   — and sends it up as one [Finished] stamped with [worker_id] and
+   [name].  [siblings] are the parent's ends of earlier racers' pipes,
+   closed in the child so a racer's exit is seen as EOF. *)
+let spawn ~siblings ~worker_id ~name ~import ~label answer =
+  let r, w = Unix.pipe () in
+  let ipipe =
+    if import then begin
+      let ir, iw = Unix.pipe () in
+      Unix.set_nonblock iw;
+      Some (ir, iw)
+    end
+    else None
+  in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    Option.iter (fun (_, iw) -> Unix.close iw) ipipe;
+    List.iter (fun fd -> try Unix.close fd with _ -> ()) siblings;
+    (try
+       let rep =
+         try answer ~report_fd:w (Option.map fst ipipe)
+         with e -> Report.v label (Report.Error (Printexc.to_string e))
+       in
+       write_msg w (Finished { rep with Report.worker = worker_id; strategy = Some name })
+     with _ -> ());
+    (try Unix.close w with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Unix.close w;
+    Option.iter (fun (ir, _) -> Unix.close ir) ipipe;
+    { pid; fd = r; import = Option.map snd ipipe; buf = Buffer.create 512; alive = true }
 
 (* -- portfolio: race strategies on one query, first decisive answer wins --- *)
 
@@ -389,99 +208,37 @@ let portfolio ?timeout ?(strategies = Minesweeper.Options.portfolio) ?(share = t
   if strategies = [] && extra = [] then
     invalid_arg "Engine.portfolio: empty strategy list";
   let q = Query.with_default_timeout timeout q in
-  let racers = Array.of_list strategies in
-  let n_strat = Array.length racers in
   let started = Unix.gettimeofday () in
   (* Rebroadcasting to a racer that just won (and exited) must not kill
      the parent with SIGPIPE; restore the handler on the way out. *)
   let prev_sigpipe =
     if share then Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) else None
   in
-  let fds = ref [] in
+  let solve strategy ~report_fd import =
+    let session = Verify.Session.of_encoding ~strategy enc in
+    Option.iter (fun import_fd -> wire_sharing session ~import_fd ~report_fd) import;
+    Verify.Session.run_one session q
+  in
+  (* Non-solver racers (e.g. the lib/faults graph fast path) report like
+     any other racer but import nothing.  An indecisive thunk returns
+     [Error]/[Timeout], which lands in [fallback] and lets a solver
+     racer win — exactly the fall-back-to-SMT semantics. *)
+  let racers =
+    List.map (fun (name, strategy) -> (name, share, solve strategy)) strategies
+    @ List.map (fun (name, thunk) -> (name, false, fun ~report_fd:_ _ -> thunk ())) extra
+  in
   let procs =
-    Array.mapi
-      (fun i (name, strat) ->
-        let r, w = Unix.pipe () in
-        (* The import pipe runs parent -> child; the parent's write end
-           is non-blocking so a slow importer can never stall the
-           scheduler (clause hints are droppable). *)
-        let ir, iw = Unix.pipe () in
-        Unix.set_nonblock iw;
-        let sibling_fds = !fds in
-        flush stdout;
-        flush stderr;
-        match Unix.fork () with
-        | 0 ->
-          Unix.close r;
-          Unix.close iw;
-          List.iter (fun fd -> try Unix.close fd with _ -> ()) sibling_fds;
-          let import = if share then Some ir else None in
-          worker_main ~worker_id:(i + 1) ~strategy:strat ~strategy_name:name ?import enc
-            [ (0, q) ] w
-        | pid ->
-          Unix.close w;
-          Unix.close ir;
-          fds := r :: iw :: !fds;
-          (pid, r, iw, Buffer.create 512, ref true (* alive *)))
-      racers
+    List.fold_left
+      (fun procs (name, import, answer) ->
+        let siblings =
+          List.concat_map (fun p -> p.fd :: Option.to_list p.import) procs
+        in
+        spawn ~siblings ~worker_id:(List.length procs + 1) ~name ~import ~label:q.Query.label
+          answer
+        :: procs)
+      [] racers
+    |> List.rev
   in
-  (* Non-solver racers (e.g. the lib/faults graph fast path): one
-     process per thunk, reporting a single [Finished] like any other
-     racer.  An indecisive thunk returns [Error]/[Timeout], which lands
-     in [fallback] and lets a solver racer win — exactly the
-     fall-back-to-SMT semantics.  The import pipe exists only so the
-     tuple matches the solver racers; its read end is closed at birth
-     and rebroadcasts to it are dropped on EPIPE. *)
-  let extra_procs =
-    Array.of_list extra
-    |> Array.mapi (fun i ((name : string), (thunk : unit -> Report.t)) ->
-           let r, w = Unix.pipe () in
-           let ir, iw = Unix.pipe () in
-           Unix.set_nonblock iw;
-           let sibling_fds = !fds in
-           flush stdout;
-           flush stderr;
-           match Unix.fork () with
-           | 0 ->
-             Unix.close r;
-             Unix.close iw;
-             Unix.close ir;
-             List.iter (fun fd -> try Unix.close fd with _ -> ()) sibling_fds;
-             (try
-                let rep =
-                  try thunk ()
-                  with e ->
-                    {
-                      Report.label = q.Query.label;
-                      verdict = Report.Error (Printexc.to_string e);
-                      certificate = Report.Uncertified;
-                      wall_ms = 0.0;
-                      stats = Report.empty_stats;
-                      worker = 0;
-                      strategy = None;
-                      support = None;
-                      replayed = false;
-                      method_ = None;
-                    }
-                in
-                write_msg w
-                  (Finished
-                     ( 0,
-                       {
-                         rep with
-                         Report.worker = n_strat + i + 1;
-                         strategy = Some name;
-                       } ))
-              with _ -> ());
-             (try Unix.close w with _ -> ());
-             Unix._exit 0
-           | pid ->
-             Unix.close w;
-             Unix.close ir;
-             fds := r :: iw :: !fds;
-             (pid, r, iw, Buffer.create 512, ref true))
-  in
-  let procs = Array.append procs extra_procs in
   let winner = ref None in
   let fallback = ref None in
   let note (r : Report.t) =
@@ -489,83 +246,61 @@ let portfolio ?timeout ?(strategies = Minesweeper.Options.portfolio) ?(share = t
     | Report.Verified | Report.Violated _ -> if !winner = None then winner := Some r
     | Report.Timeout | Report.Error _ -> if !fallback = None then fallback := Some r
   in
-  (* Clauses one racer learns go to every other live racer. *)
+  (* Clauses one racer learns go to every other live importer. *)
   let rebroadcast ~from clauses =
-    if share then
-      Array.iteri
-        (fun j (_, _, iw, _, alive) ->
-          if !alive && j <> from then send_clauses iw clauses)
-        procs
+    List.iter
+      (fun p ->
+        match p.import with
+        | Some iw when p.alive && p != from -> send_clauses iw clauses
+        | _ -> ())
+      procs
   in
   let tmp = Bytes.create 65536 in
+  let read_racer p =
+    let handle = function Finished r -> note r | Learned clauses -> rebroadcast ~from:p clauses in
+    match Unix.read p.fd tmp 0 (Bytes.length tmp) with
+    | 0 ->
+      drain_frames p.buf handle;
+      p.alive <- false
+    | n ->
+      Buffer.add_subbytes p.buf tmp 0 n;
+      drain_frames p.buf handle
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  in
   let kill_deadline =
     match q.Query.timeout with Some t -> Some (started +. (2.0 *. t) +. 1.0) | None -> None
   in
   let watchdog_fired = ref false in
-  let some_alive () = Array.exists (fun (_, _, _, _, alive) -> !alive) procs in
-  while !winner = None && (not !watchdog_fired) && some_alive () do
+  let live () = List.filter (fun p -> p.alive) procs in
+  while !winner = None && (not !watchdog_fired) && live () <> [] do
     let timeout_left =
       match kill_deadline with
       | Some d -> Float.max 0.0 (d -. Unix.gettimeofday ())
       | None -> 3600.0
     in
-    let fdl =
-      Array.to_list procs
-      |> List.filter_map (fun (_, fd, _, _, alive) -> if !alive then Some fd else None)
-    in
-    (match Unix.select fdl [] [] timeout_left with
-     | [], _, _ -> if kill_deadline <> None && timeout_left <= 0.0 then watchdog_fired := true
-     | ready, _, _ ->
-       List.iter
-         (fun fd ->
-           Array.iteri
-             (fun i (_, pfd, _, buf, alive) ->
-               let handle = function
-                 | Finished (_, r) -> note r
-                 | Learned clauses -> rebroadcast ~from:i clauses
-                 | Started _ -> ()
-               in
-               if !alive && pfd = fd then begin
-                 match Unix.read fd tmp 0 (Bytes.length tmp) with
-                 | 0 ->
-                   drain_frames buf handle;
-                   alive := false
-                 | n ->
-                   Buffer.add_subbytes buf tmp 0 n;
-                   drain_frames buf handle
-                 | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-               end)
-             procs)
-         ready
-     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+    match Unix.select (List.map (fun p -> p.fd) (live ())) [] [] timeout_left with
+    | [], _, _ -> if kill_deadline <> None && timeout_left <= 0.0 then watchdog_fired := true
+    | ready, _, _ ->
+      List.iter (fun p -> if p.alive && List.mem p.fd ready then read_racer p) procs
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   (* Cancel the losers (and any watchdog-stuck racer) and reap everyone. *)
-  Array.iter
-    (fun (pid, fd, iw, _, alive) ->
-      if !alive then (try Unix.kill pid Sys.sigkill with _ -> ());
-      (try Unix.close fd with _ -> ());
-      (try Unix.close iw with _ -> ());
-      (try ignore (Unix.waitpid [] pid) with _ -> ()))
+  List.iter
+    (fun p ->
+      if p.alive then (try Unix.kill p.pid Sys.sigkill with _ -> ());
+      (try Unix.close p.fd with _ -> ());
+      Option.iter (fun iw -> try Unix.close iw with _ -> ()) p.import;
+      try ignore (Unix.waitpid [] p.pid) with _ -> ())
     procs;
-  (match prev_sigpipe with
-   | Some h -> ignore (Sys.signal Sys.sigpipe h)
-   | None -> ());
-  let elapsed_ms = (Unix.gettimeofday () -. started) *. 1000.0 in
+  Option.iter (fun h -> ignore (Sys.signal Sys.sigpipe h)) prev_sigpipe;
   match (!winner, !fallback) with
   | Some r, _ -> r
   | None, Some r -> r
   | None, None ->
     {
-      Report.label = q.Query.label;
-      verdict =
-        (if !watchdog_fired then Report.Timeout
-         else Report.Error "all portfolio racers crashed");
-      certificate = Report.Uncertified;
-      wall_ms = elapsed_ms;
-      stats = Report.empty_stats;
-      worker = 0;
-      strategy = None;
-      support = None;
-      replayed = false;
-      method_ = None;
+      (Report.v q.Query.label
+         (if !watchdog_fired then Report.Timeout
+          else Report.Error "all portfolio racers crashed"))
+      with
+      Report.wall_ms = (Unix.gettimeofday () -. started) *. 1000.0;
     }

@@ -398,18 +398,9 @@ let report ?label (net : A.network) ~k ~sources dest =
   in
   let t0 = Unix.gettimeofday () in
   let finish verdict =
-    {
-      Report.label;
-      verdict;
-      certificate = Report.Uncertified;
-      wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-      stats = Report.empty_stats;
-      worker = 0;
-      strategy = None;
-      support = None;
-      replayed = false;
-      method_ = Some Report.Graph;
-    }
+    { (Report.v label verdict) with
+      Report.wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+      method_ = Some Report.Graph }
   in
   match analyze net ~k ~sources dest with
   | Invariant -> finish Report.Verified

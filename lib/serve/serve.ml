@@ -130,7 +130,6 @@ type t = {
          so ACL and policy semantics land in tagged per-device
          assertions instead of being inlined into property terms —
          support-based replay is unsound otherwise. *)
-  max_jobs : int;
   mutable state : netstate option;
   enc_cache : (string, built) Hashtbl.t;
   mutable enc_order : string list;  (* insertion order, oldest last — FIFO eviction *)
@@ -145,9 +144,9 @@ type t = {
 let enc_cache_cap = 8
 
 let create ?(jobs = 1) opts =
+  if jobs <> 1 then invalid_arg "Serve.create: ~jobs must be 1";
   {
     opts = { opts with MS.Options.symmetry = false; merge_dataplane = false; merge_filters = false };
-    max_jobs = max 1 jobs;
     state = None;
     enc_cache = Hashtbl.create 8;
     enc_order = [];
@@ -354,12 +353,11 @@ let handle_diff t text =
         (match o.d_mode with `Delta -> "delta" | `Full -> "full")
         (names o.d_changed) (names o.d_coupled) o.d_replayed o.d_dropped (J.quote new_ns.ns_key))
 
-let handle_query t specs req_jobs =
+let handle_query t specs =
   match t.state with
   | None -> err "query: no configuration loaded (use \"load\" first)"
   | Some ns -> (
     t.c.query_requests <- t.c.query_requests + 1;
-    let jobs = min (max req_jobs 1) t.max_jobs in
     (* Serve what the verdict cache has; batch the rest on the shared
        encoding (built or fetched only if this batch is non-empty). *)
     let items =
@@ -386,10 +384,7 @@ let handle_query t specs req_jobs =
          | _ ->
            let expanded = List.map (fun (s, key, r) -> (s, key, Result.get_ok r)) expanded in
            let all_queries = List.concat_map (fun (_, _, qs) -> qs) expanded in
-           let reports =
-             if jobs <= 1 then Verify.Session.run b.b_session all_queries
-             else Engine.run ~jobs ~support:true b.b_enc all_queries
-           in
+           let reports = Verify.Session.run b.b_session all_queries in
            t.c.solves <- t.c.solves + List.length reports;
            (* reports come back in query order: slice them back per spec *)
            let rest = ref reports in
@@ -455,7 +450,7 @@ let handle_line t line : string * [ `Continue | `Stop ] =
   | Error e -> (err "%s" e, `Continue)
   | Ok (Protocol.Load text) -> (handle_load t text, `Continue)
   | Ok (Protocol.Diff text) -> (handle_diff t text, `Continue)
-  | Ok (Protocol.Query { specs; jobs }) -> (handle_query t specs jobs, `Continue)
+  | Ok (Protocol.Query { specs }) -> (handle_query t specs, `Continue)
   | Ok Protocol.Stats -> (handle_stats t, `Continue)
   | Ok Protocol.Shutdown ->
     (Printf.sprintf "{\"schema\":%d,\"ok\":true,\"op\":\"shutdown\"}" schema, `Stop)

@@ -35,8 +35,9 @@ type t
     surfaced by the [stats] op. *)
 
 val create : ?jobs:int -> Minesweeper.Options.t -> t
-(** [jobs] (default 1) caps the per-request worker-process fan-out
-    ({!Engine.run}); requests asking for more are clamped.  Three
+(** Every query runs on the daemon's one incremental session.  [jobs]
+    (default 1) is kept only so existing callers that pass [~jobs:1]
+    still compile; any other value raises [Invalid_argument].  Three
     options are forced off in [opts]: [symmetry] (support tracking
     names concrete devices), and [merge_dataplane] / [merge_filters]
     (ACL and policy semantics must live in tagged per-device assertions

@@ -1,15 +1,9 @@
 (* Tests for the static-analysis subsystem: one positive configuration
    and one clean configuration per diagnostic code, the JSON renderer,
-   the encoder pre-flight hook, and differential tests showing that
-   lint-driven slicing preserves verdicts while shrinking encodings. *)
+   and the encoder pre-flight hook. *)
 
 module A = Config.Ast
 module MS = Minesweeper
-
-(* shims over the Query/Report API for the bare outcomes these tests match on *)
-let verify_net net opts make =
-  let enc = MS.Encode.build net opts in
-  MS.Verify.Report.to_outcome (MS.Verify.run_query enc (MS.Verify.Query.v "query" make))
 module D = Analysis.Diagnostic
 module P = Net.Prefix
 
@@ -344,102 +338,6 @@ let test_preflight () =
   (* clean networks pass the gate silently *)
   ignore (MS.Encode.build (parse clean_pair) MS.Options.default)
 
-(* -- slicing --------------------------------------------------------------------- *)
-
-(* A lint-warning-rich (but error-free) pair: dead prefix-list entry,
-   shadowed ACL entry, never-matching clause, unreachable clause. *)
-let redundant_pair =
-  {|hostname S1
-interface e0
- ip address 10.0.0.1/30
-interface e1
- ip address 10.1.0.1/24
- ip access-group FILT out
-!
-ip prefix-list NONE deny 0.0.0.0/0 le 32
-ip prefix-list SUB permit 10.0.0.0/8 le 32
-ip prefix-list SUB permit 10.2.0.0/16 le 32
-access-list FILT deny ip any 10.9.9.0 0.0.0.255
-access-list FILT deny ip any 10.9.9.128 0.0.0.127
-access-list FILT permit ip any any
-route-map IMP permit 10
- match ip address prefix-list NONE
-!
-route-map IMP permit 20
- match ip address prefix-list SUB
-!
-route-map IMP permit 30
-!
-route-map IMP permit 40
- set local-preference 200
-!
-router bgp 100
- network 10.1.0.0/24
- neighbor 10.0.0.2 remote-as 200
- neighbor 10.0.0.2 route-map IMP in
-!
-hostname S2
-interface e0
- ip address 10.0.0.2/30
-interface e1
- ip address 10.2.0.1/24
-!
-router bgp 200
- network 10.2.0.0/24
- neighbor 10.0.0.1 remote-as 100
-|}
-
-let test_slice_removes_dead () =
-  let net = parse redundant_pair in
-  let pe, ae, cl = Analysis.Slice.removed_counts net in
-  Alcotest.(check int) "prefix entries removed" 1 pe;
-  Alcotest.(check int) "acl entries removed" 1 ae;
-  Alcotest.(check int) "clauses removed" 2 cl;
-  (* after slicing, the dead-code analysis finds nothing *)
-  let dead_after =
-    List.filter
-      (fun (d : D.t) -> String.length d.D.code > 4 && String.sub d.D.code 0 5 = "MS-W2")
-      (Analysis.Lint.run (Analysis.Slice.network net))
-  in
-  Alcotest.(check int) "sliced net is dead-code free" 0 (List.length dead_after)
-
-let violated = function MS.Verify.Violation _ -> true | MS.Verify.Holds -> false
-
-let verdicts net prop =
-  let v opts = violated (verify_net net opts prop) in
-  (v MS.Options.default, v (MS.Options.with_slicing MS.Options.default))
-
-let test_slice_differential () =
-  (* the redundant pair: reachability of S1's subnet from S2 *)
-  let net = parse redundant_pair in
-  let prop enc =
-    MS.Property.reachability enc ~sources:[ "S2" ] (MS.Property.Subnet ("S1", P.of_string "10.1.0.0/24"))
-  in
-  let plain, sliced = verdicts net prop in
-  Alcotest.(check bool) "redundant pair verdicts agree" plain sliced;
-  (* generator networks, loop- and blackhole-freedom *)
-  let ft = (Generators.Fattree.make ~pods:2).Generators.Fattree.network in
-  let plain, sliced = verdicts ft (fun enc -> MS.Property.no_loops enc ()) in
-  Alcotest.(check bool) "fattree verdicts agree" plain sliced;
-  let ent =
-    (Generators.Enterprise.make ~seed:3 ~routers:6
-       ~inject:{ Generators.Enterprise.hijack = false; acl_gap = false; deep_drop = false; single_homed = false }
-       ())
-      .Generators.Enterprise.network
-  in
-  let plain, sliced = verdicts ent (fun enc -> MS.Property.no_blackholes enc ~allowed:[] ()) in
-  Alcotest.(check bool) "enterprise verdicts agree" plain sliced
-
-let test_slice_shrinks () =
-  let net = parse redundant_pair in
-  let _, size_plain = MS.Encode.stats (MS.Encode.build net MS.Options.default) in
-  let _, size_sliced =
-    MS.Encode.stats (MS.Encode.build net (MS.Options.with_slicing MS.Options.default))
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "sliced encoding smaller (%d < %d)" size_sliced size_plain)
-    true (size_sliced < size_plain)
-
 let () =
   Alcotest.run "analysis"
     [
@@ -475,10 +373,4 @@ let () =
           Alcotest.test_case "json" `Quick test_render_json;
         ] );
       ( "preflight", [ Alcotest.test_case "error gate" `Quick test_preflight ] );
-      ( "slicing",
-        [
-          Alcotest.test_case "removes dead config" `Quick test_slice_removes_dead;
-          Alcotest.test_case "differential verdicts" `Quick test_slice_differential;
-          Alcotest.test_case "shrinks encoding" `Quick test_slice_shrinks;
-        ] );
     ]

@@ -1,8 +1,8 @@
-(* Differential and fault-injection tests for the parallel engine: on
-   enterprise and fattree networks, Engine.run at -j 1 and -j 4 and
-   portfolio mode must reproduce exactly the verdicts of a sequential
-   Verify.Session over the same queries, in the same order; a worker
-   killed mid-shard must not lose or reorder any result. *)
+(* Differential and fault-injection tests for the portfolio engine: on
+   enterprise and fattree networks, racing the solver strategies must
+   reproduce exactly the verdicts of a sequential Verify.Session over
+   the same queries; a racer killed mid-race must not change the
+   verdict, and every racer must be reaped whatever the outcome. *)
 
 module MS = Minesweeper
 module G = Generators
@@ -59,13 +59,6 @@ let differential name net queries =
   let enc = MS.Encode.build net MS.Options.default in
   let sequential = MS.Verify.Session.run (MS.Verify.Session.of_encoding enc) queries in
   Alcotest.(check int) (name ^ ": report count") (List.length queries) (List.length sequential);
-  let j1 = Engine.run ~jobs:1 enc queries in
-  check_same_reports (name ^ " -j1") sequential j1;
-  let j4 = Engine.run ~jobs:4 enc queries in
-  check_same_reports (name ^ " -j4") sequential j4;
-  (* parallel reports must come from real workers *)
-  if List.for_all (fun r -> r.Report.worker = 0) j4 then
-    Alcotest.failf "%s: no -j4 report carries a worker id" name;
   let pf = List.map (fun q -> Engine.portfolio enc q) queries in
   check_same_reports (name ^ " portfolio") sequential pf;
   List.iter
@@ -91,105 +84,67 @@ let test_fattree () =
   let ft = G.Fattree.make ~pods:2 in
   differential "fattree pods=2" ft.G.Fattree.network (fattree_queries ft)
 
-(* Ordering under heavy sharding: an all-pairs style fan-out at -j 3
-   must come back in query order with every query answered. *)
-let test_ordering () =
-  let t = G.Enterprise.make ~seed:3 ~routers:10 ~inject:G.Enterprise.no_bugs () in
-  let net = t.G.Enterprise.network in
-  let enc = MS.Encode.build net MS.Options.default in
-  let devices = MS.Encode.devices enc in
-  let queries =
-    List.filter_map
-      (fun d ->
-        if MS.Encode.subnets enc d = [] then None
-        else
-          let srcs = List.filter (fun s -> s <> d) devices in
-          Some
-            (Query.v
-               ("reach *->" ^ d)
-               (fun enc -> MS.Property.reachability enc ~sources:srcs (MS.Property.Device d))))
-      devices
-  in
-  let sequential = MS.Verify.Session.run (MS.Verify.Session.of_encoding enc) queries in
-  let j3 = Engine.run ~jobs:3 enc queries in
-  check_same_reports "all-pairs -j3" sequential j3
-
 (* ---- fault injection ----------------------------------------------------- *)
 
 (* A query whose property thunk SIGKILLs the calling process — but only
-   in engine workers (never in the test runner), and only while the
-   marker file does not exist yet.  Workers share the filesystem, so
-   the first victim leaves a marker and the requeued attempt succeeds. *)
+   in forked racers (never in the test runner).  With [~always:false]
+   exactly one racer dies: the first to create the marker file
+   (O_EXCL, so racers cannot both win that race). *)
 let poison_query label marker ~always parent_pid =
   Query.v label (fun enc ->
-      if Unix.getpid () <> parent_pid && (always || not (Sys.file_exists marker)) then begin
-        (if not always then
-           let oc = open_out marker in
-           close_out oc);
-        Unix.kill (Unix.getpid ()) Sys.sigkill
-      end;
+      if
+        Unix.getpid () <> parent_pid
+        && (always
+           ||
+           match Unix.openfile marker [ Unix.O_CREAT; Unix.O_EXCL; Unix.O_WRONLY ] 0o600 with
+           | fd ->
+             Unix.close fd;
+             true
+           | exception Unix.Unix_error (Unix.EEXIST, _, _) -> false)
+      then Unix.kill (Unix.getpid ()) Sys.sigkill;
       MS.Property.no_loops enc ())
 
 let fault_net () =
   let t = G.Enterprise.make ~seed:3 ~routers:8 ~inject:G.Enterprise.no_bugs () in
   t.G.Enterprise.network
 
-let test_worker_killed_once () =
-  let net = fault_net () in
-  let enc = MS.Encode.build net MS.Options.default in
+(* Every racer was reaped: the test runner has no child left. *)
+let check_reaped name =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.failf "%s: child %d left behind by the race" name pid
+
+let loops_verdict enc =
+  match
+    MS.Verify.Session.run (MS.Verify.Session.of_encoding enc)
+      [ Query.v "no-loops" (fun enc -> MS.Property.no_loops enc ()) ]
+  with
+  | [ r ] -> Report.verdict_name r.Report.verdict
+  | _ -> Alcotest.fail "baseline"
+
+let test_racer_killed () =
+  let enc = MS.Encode.build (fault_net ()) MS.Options.default in
   let marker = Filename.temp_file "ms_poison" ".marker" in
   Sys.remove marker;
-  let plain = Query.v "no-loops" (fun enc -> MS.Property.no_loops enc ()) in
-  let others =
-    [
-      Query.v "isolation" (fun enc ->
-          MS.Property.isolation enc
-            ~sources:(MS.Encode.devices enc)
-            (MS.Property.Device (List.hd (MS.Encode.devices enc))));
-      Query.v "blackholes" (fun enc -> MS.Property.no_blackholes enc ());
-      Query.v "loops-2" (fun enc -> MS.Property.no_loops enc ());
-    ]
-  in
-  let sequential =
-    MS.Verify.Session.run (MS.Verify.Session.of_encoding enc) (plain :: others)
-  in
-  let poisoned = poison_query "no-loops" marker ~always:false (Unix.getpid ()) :: others in
-  let reports = Engine.run ~jobs:2 enc poisoned in
-  if Sys.file_exists marker then Sys.remove marker;
-  (* the killed worker's query was requeued and answered correctly *)
-  check_same_reports "kill-once" sequential reports
+  let r = Engine.portfolio enc (poison_query "no-loops" marker ~always:false (Unix.getpid ())) in
+  let killed = Sys.file_exists marker in
+  if killed then Sys.remove marker;
+  Alcotest.(check bool) "one racer was killed" true killed;
+  Alcotest.(check string) "verdict of the sequential session" (loops_verdict enc)
+    (Report.verdict_name r.Report.verdict);
+  check_reaped "racer killed"
 
-let test_worker_killed_always () =
-  let net = fault_net () in
-  let enc = MS.Encode.build net MS.Options.default in
-  let others =
-    [
-      Query.v "isolation" (fun enc ->
-          MS.Property.isolation enc
-            ~sources:(MS.Encode.devices enc)
-            (MS.Property.Device (List.hd (MS.Encode.devices enc))));
-      Query.v "blackholes" (fun enc -> MS.Property.no_blackholes enc ());
-      Query.v "loops-2" (fun enc -> MS.Property.no_loops enc ());
-    ]
+let test_all_racers_killed () =
+  let enc = MS.Encode.build (fault_net ()) MS.Options.default in
+  let r =
+    Engine.portfolio enc
+      (poison_query "poison" "/nonexistent-marker" ~always:true (Unix.getpid ()))
   in
-  let sequential = MS.Verify.Session.run (MS.Verify.Session.of_encoding enc) others in
-  let poisoned =
-    poison_query "poison" "/nonexistent-marker" ~always:true (Unix.getpid ()) :: others
-  in
-  let reports = Engine.run ~jobs:2 enc poisoned in
-  Alcotest.(check int) "kill-always: complete report" 4 (List.length reports);
-  Alcotest.(check (list string))
-    "kill-always: order preserved"
-    ("poison" :: labels sequential)
-    (labels reports);
-  (match reports with
-   | poison :: rest ->
-     (match poison.Report.verdict with
-      | Report.Error _ -> ()
-      | v -> Alcotest.failf "poison query should be an error, got %s" (Report.verdict_name v));
-     Alcotest.(check (list string)) "kill-always: other verdicts" (verdicts sequential)
-       (verdicts rest)
-   | [] -> Alcotest.fail "empty report")
+  (match r.Report.verdict with
+   | Report.Error "all portfolio racers crashed" -> ()
+   | v -> Alcotest.failf "expected the all-crashed error, got %s" (Report.verdict_name v));
+  Alcotest.(check string) "label kept" "poison" r.Report.label;
+  check_reaped "every racer killed"
 
 (* ---- timeouts ------------------------------------------------------------ *)
 
@@ -200,31 +155,20 @@ let timeout_queries () =
     Query.v "normal" (fun enc -> MS.Property.no_loops enc ());
   ]
 
-let check_timeout_reports name reports expected_normal =
-  match reports with
-  | [ doomed; normal ] ->
-    Alcotest.(check string) (name ^ ": doomed verdict") "timeout"
-      (Report.verdict_name doomed.Report.verdict);
-    Alcotest.(check string) (name ^ ": later query unaffected") expected_normal
-      (Report.verdict_name normal.Report.verdict)
-  | rs -> Alcotest.failf "%s: expected 2 reports, got %d" name (List.length rs)
-
 let test_timeout () =
-  let net = fault_net () in
-  let enc = MS.Encode.build net MS.Options.default in
-  let expected =
-    match MS.Verify.Session.run (MS.Verify.Session.of_encoding enc)
-            [ Query.v "normal" (fun enc -> MS.Property.no_loops enc ()) ]
-    with
-    | [ r ] -> Report.verdict_name r.Report.verdict
-    | _ -> Alcotest.fail "baseline"
-  in
-  (* in-process sequential path *)
-  check_timeout_reports "sequential"
-    (MS.Verify.Session.run (MS.Verify.Session.of_encoding enc) (timeout_queries ()))
-    expected;
-  (* forked path: the worker reports the timeout itself and survives *)
-  check_timeout_reports "-j2" (Engine.run ~jobs:2 enc (timeout_queries ())) expected
+  let enc = MS.Encode.build (fault_net ()) MS.Options.default in
+  (match MS.Verify.Session.run (MS.Verify.Session.of_encoding enc) (timeout_queries ()) with
+   | [ doomed; normal ] ->
+     Alcotest.(check string) "sequential: doomed verdict" "timeout"
+       (Report.verdict_name doomed.Report.verdict);
+     Alcotest.(check string) "sequential: later query unaffected" (loops_verdict enc)
+       (Report.verdict_name normal.Report.verdict)
+   | rs -> Alcotest.failf "sequential: expected 2 reports, got %d" (List.length rs));
+  (* portfolio: every racer times out, and none outlives the race *)
+  let r = Engine.portfolio enc (List.hd (timeout_queries ())) in
+  Alcotest.(check string) "portfolio: doomed verdict" "timeout"
+    (Report.verdict_name r.Report.verdict);
+  check_reaped "portfolio timeout"
 
 (* ---- strategies ---------------------------------------------------------- *)
 
@@ -327,19 +271,7 @@ let test_report_json () =
   let arr = Report.list_to_json reports in
   if String.length arr < 2 || arr.[0] <> '[' then Alcotest.failf "not an array: %s" arr
 
-let mk label verdict =
-  {
-    Report.label;
-    verdict;
-    certificate = Report.Uncertified;
-    wall_ms = 1.0;
-    stats = Report.empty_stats;
-    worker = 0;
-    strategy = None;
-    support = None;
-    replayed = false;
-    method_ = None;
-  }
+let mk label verdict = { (Report.v label verdict) with Report.wall_ms = 1.0 }
 
 let test_exit_codes () =
   let cx_free = mk "a" Report.Verified in
@@ -356,12 +288,11 @@ let () =
           Alcotest.test_case "enterprise clean" `Quick test_enterprise_clean;
           Alcotest.test_case "enterprise hijack" `Quick test_enterprise_hijack;
           Alcotest.test_case "fattree pods=2" `Quick test_fattree;
-          Alcotest.test_case "all-pairs ordering -j3" `Quick test_ordering;
         ] );
       ( "faults",
         [
-          Alcotest.test_case "worker killed once: requeued" `Quick test_worker_killed_once;
-          Alcotest.test_case "worker killed always: error" `Quick test_worker_killed_always;
+          Alcotest.test_case "racer killed: race still decides" `Quick test_racer_killed;
+          Alcotest.test_case "every racer killed: error" `Quick test_all_racers_killed;
           Alcotest.test_case "per-query timeout" `Quick test_timeout;
         ] );
       ("strategies", [ Alcotest.test_case "portfolio variants agree" `Quick test_strategies_agree ]);

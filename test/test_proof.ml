@@ -263,18 +263,7 @@ let test_certified_enterprise_session () =
 
 let test_exit_code_4 () =
   let mk label verdict certificate =
-    {
-      MS.Verify.Report.label;
-      verdict;
-      certificate;
-      wall_ms = 1.0;
-      stats = MS.Verify.Report.empty_stats;
-      worker = 0;
-      strategy = None;
-      support = None;
-      replayed = false;
-      method_ = None;
-    }
+    { (MS.Verify.Report.v label verdict) with MS.Verify.Report.certificate; wall_ms = 1.0 }
   in
   let ok = mk "a" MS.Verify.Report.Verified MS.Verify.Report.Checked_model in
   let failed = mk "c" MS.Verify.Report.Verified (MS.Verify.Report.Certification_failed "bogus") in

@@ -102,6 +102,33 @@ let test_malformed () =
   let resp = ask d {|{"schema":2,"op":"stats"}|} in
   Alcotest.(check bool) "not loaded" false (get_bool_field resp "loaded")
 
+(* Old clients may still send the per-request fan-out member ["jobs"]
+   the daemon once honoured: it is ignored like any unknown member, so
+   the reply is the one the same request gets without it. *)
+let test_jobs_ignored () =
+  let t = Lazy.force base_t in
+  let q = req_query t in
+  let with_jobs =
+    let tag = {|"op":"query",|} in
+    let i = Str.search_forward (Str.regexp_string tag) q 0 + String.length tag in
+    String.sub q 0 i ^ {|"jobs":4,|} ^ String.sub q i (String.length q - i)
+  in
+  let answer line =
+    let d = Serve.create default in
+    ignore (ask d (req_load (print_net t.G.Enterprise.network)));
+    let resp = ask d line in
+    (verdicts resp, get_int_field resp "answered", get_int_field resp "solved")
+  in
+  let plain_v, plain_n, plain_s = answer q in
+  let jobs_v, jobs_n, jobs_s = answer with_jobs in
+  Alcotest.(check (list (pair string string))) "same verdicts" plain_v jobs_v;
+  Alcotest.(check int) "same answered" plain_n jobs_n;
+  Alcotest.(check int) "same solved" plain_s jobs_s;
+  (* the daemon itself takes no fan-out either *)
+  Alcotest.check_raises "Serve.create ~jobs:2"
+    (Invalid_argument "Serve.create: ~jobs must be 1") (fun () ->
+      ignore (Serve.create ~jobs:2 default))
+
 (* -- delta vs full differential on random churn ----------------------------- *)
 
 (* Deterministic churn: each step mutates one of the first two racks'
@@ -376,7 +403,11 @@ let test_socket_server () =
 let () =
   Alcotest.run "serve"
     [
-      ("protocol", [ Alcotest.test_case "malformed requests" `Quick test_malformed ]);
+      ( "protocol",
+        [
+          Alcotest.test_case "malformed requests" `Quick test_malformed;
+          Alcotest.test_case "jobs member ignored" `Quick test_jobs_ignored;
+        ] );
       ( "delta",
         [
           Alcotest.test_case "delta vs full on churn" `Slow test_delta_vs_full;

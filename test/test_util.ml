@@ -40,20 +40,7 @@ let contains ~needle hay =
 let test_shared_everywhere () =
   let nasty = "a\"b\\c\nd" in
   let module R = Minesweeper.Verify.Report in
-  let r =
-    {
-      R.label = nasty;
-      verdict = R.Verified;
-      certificate = R.Uncertified;
-      wall_ms = 0.0;
-      stats = R.empty_stats;
-      worker = 0;
-      strategy = None;
-      support = None;
-      replayed = false;
-      method_ = None;
-    }
-  in
+  let r = R.v nasty R.Verified in
   Alcotest.(check bool)
     "verify report escaping is the shared escaping" true
     (contains ~needle:("\"label\":\"" ^ Msutil.Json.escape nasty ^ "\"") (R.to_json r))
