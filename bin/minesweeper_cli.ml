@@ -82,7 +82,7 @@ let verify_cmd =
           ~doc:
             "With $(b,--property fault-invariance): sweep k = 1..$(docv), one report per k. \
              Each k races the graph fast path (min-cut over the simulator's converged \
-             forwarding) against the SMT strategy portfolio; the report's $(b,method) field \
+             forwarding) against one SMT solve; the report's $(b,method) field \
              records which path answered (graph, smt, or fallback).")
   in
   let naive = Arg.(value & flag & info [ "naive" ] ~doc:"Disable the optimizations of \xc2\xa76.") in

@@ -442,12 +442,21 @@ let report ?label (net : A.network) ~k ~sources dest =
 
 (* -- hybrid: race the two paths inside the portfolio ------------------------ *)
 
+(* One SMT racer unless the caller asks for more: a query the graph
+   path declines is then one plain solve plus a fork, where racing the
+   whole strategy portfolio on a 2-vCPU box made it 3-5x slower than
+   the solve alone. *)
 let hybrid ?timeout ?strategies ?share (net : A.network) opts ~k ~sources dest =
+  let strategies =
+    match strategies with
+    | Some s -> s
+    | None -> [ ("default", opts.Minesweeper.Options.strategy) ]
+  in
   let enc, q = Verify.fault_invariant_query ?timeout net opts ~k ~sources dest in
   let label = q.Query.label in
   let graph () = report ~label net ~k ~sources dest in
   let r =
-    Engine.portfolio ?timeout ?strategies ?share ~extra:[ ("graph", graph) ] enc q
+    Engine.portfolio ?timeout ~strategies ?share ~extra:[ ("graph", graph) ] enc q
   in
   match r.Report.method_ with
   | Some Report.Graph -> r

@@ -119,9 +119,10 @@ val hybrid :
   Minesweeper.Property.destination ->
   Report.t
 (** Race the graph fast path against the SMT two-copy encoding inside
-    {!Engine.portfolio}: one process per solver strategy (default
-    {!Minesweeper.Options.portfolio}) plus one [extra] racer running
-    {!report}.  The first decisive answer wins; an undecided graph
+    {!Engine.portfolio}: one process per solver strategy (by default a
+    single racer, ["default"], with the strategy of [opts], which is
+    {!Minesweeper.Options.default}'s unless the caller changed it) plus
+    one [extra] racer running {!report}.  The first decisive answer wins; an undecided graph
     racer simply never produces one.  The winner's [method_] is
     [Graph] when the graph racer won, [Smt] when a solver racer beat a
     decided graph path, and [Fallback] when the graph path could not

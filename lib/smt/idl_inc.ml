@@ -5,15 +5,27 @@
    nothing and the GC never scans the stack. *)
 let stride = 5 (* ex, ey, ek, etag, pos *)
 
+(* In-place [Vec] access that this module inlines (dev builds compile
+   [Vec] with -opaque, so its own functions are never inlined here);
+   bounds-checked only under MS_VEC_DEBUG, like [Vec.unsafe_get]. *)
+let[@inline] vget (v : Vec.t) i =
+  if Vec.debug && (i < 0 || i >= v.Vec.len) then invalid_arg "Vec.unsafe_get (MS_VEC_DEBUG)";
+  Array.unsafe_get v.Vec.data i
+
+let[@inline] vpush (v : Vec.t) x =
+  if v.Vec.len = Array.length v.Vec.data then Vec.grow v;
+  Array.unsafe_set v.Vec.data v.Vec.len x;
+  v.Vec.len <- v.Vec.len + 1
+
 type t = {
   n : int;
   d : int array;  (* feasible: d.(ex) <= d.(ey) + ek for every edge *)
-  out : int Vec.t array;  (* edge base offsets by source node [ey] *)
-  edges : int Vec.t;  (* assertion stack, trail order, [stride] words each *)
+  out : Vec.t array;  (* edge base offsets by source node [ey] *)
+  edges : Vec.t;  (* assertion stack, trail order, [stride] words each *)
   pred_src : int array;  (* repair bookkeeping *)
   pred_tag : int array;
-  queue : int Vec.t;  (* scratch: repair worklist (FIFO via a head index) *)
-  changes : int Vec.t;  (* scratch: (node, old distance) undo pairs *)
+  queue : Vec.t;  (* scratch: repair worklist (FIFO via a head index) *)
+  changes : Vec.t;  (* scratch: (node, old distance) undo pairs *)
   ladders : (int * int, (int * int) list ref) Hashtbl.t;
       (* (x, y) -> atoms x - y <= k over that variable pair as (k, var)
          sorted by k ascending: the "ladder" x-y<=k implies x-y<=k' for
@@ -28,12 +40,12 @@ let create ~nvars =
   {
     n;
     d = Array.make n 0;
-    out = Array.init n (fun _ -> Vec.create ~dummy:(-1) ());
-    edges = Vec.create ~dummy:0 ();
+    out = Array.init n (fun _ -> Vec.create ());
+    edges = Vec.create ();
     pred_src = Array.make n (-1);
     pred_tag = Array.make n (-1);
-    queue = Vec.create ~dummy:(-1) ();
-    changes = Vec.create ~dummy:0 ();
+    queue = Vec.create ();
+    changes = Vec.create ();
     ladders = Hashtbl.create 256;
     nbr_below = [||];
     nbr_above = [||];
@@ -96,50 +108,52 @@ let ladder_above t ~var =
 
 exception Infeasible of int list
 
+(* push the edge [x - y <= k] onto the assertion stack *)
+let[@inline] commit t ~trail_pos ~x ~y ~k ~tag =
+  let edges = t.edges in
+  let base = edges.Vec.len in
+  vpush edges x;
+  vpush edges y;
+  vpush edges k;
+  vpush edges tag;
+  vpush edges trail_pos;
+  vpush t.out.(y) base
+
 let assert_constr t ~trail_pos ~x ~y ~k ~tag =
   if x < 0 || x >= t.n || y < 0 || y >= t.n then invalid_arg "Idl_inc.assert_constr";
   let d = t.d in
   let edges = t.edges in
-  let commit () =
-    let base = Vec.size edges in
-    Vec.push edges x;
-    Vec.push edges y;
-    Vec.push edges k;
-    Vec.push edges tag;
-    Vec.push edges trail_pos;
-    Vec.push t.out.(y) base
-  in
   if d.(x) <= d.(y) + k then begin
     (* already satisfied by the current distance function *)
-    commit ();
+    commit t ~trail_pos ~x ~y ~k ~tag;
     None
   end
   else begin
     (* repair: lower d.(x) to d.(y) + k and propagate decreases; a
        decrease reaching y again closes a negative cycle *)
     let changes = t.changes in
-    Vec.clear changes;
-    Vec.push changes x;
-    Vec.push changes d.(x);
+    changes.Vec.len <- 0;
+    vpush changes x;
+    vpush changes d.(x);
     d.(x) <- d.(y) + k;
     t.pred_src.(x) <- y;
     t.pred_tag.(x) <- tag;
     let queue = t.queue in
-    Vec.clear queue;
-    Vec.push queue x;
+    queue.Vec.len <- 0;
+    vpush queue x;
     let qhead = ref 0 in
     match
-      while !qhead < Vec.size queue do
-        let u = Vec.unsafe_get queue !qhead in
+      while !qhead < queue.Vec.len do
+        let u = vget queue !qhead in
         incr qhead;
         let du = d.(u) in
         let ou = t.out.(u) in
-        for oi = 0 to Vec.size ou - 1 do
-          let base = Vec.unsafe_get ou oi in
-          let ex = Vec.unsafe_get edges base in
-          let ek = Vec.unsafe_get edges (base + 2) in
+        for oi = 0 to ou.Vec.len - 1 do
+          let base = vget ou oi in
+          let ex = vget edges base in
+          let ek = vget edges (base + 2) in
           if du + ek < d.(ex) then begin
-            let etag = Vec.unsafe_get edges (base + 3) in
+            let etag = vget edges (base + 3) in
             if ex = y then begin
               (* negative cycle: new edge + path x ~> u + edge u->y *)
               let tags = ref [ tag; etag ] in
@@ -154,33 +168,33 @@ let assert_constr t ~trail_pos ~x ~y ~k ~tag =
                 (* defensive: a stale predecessor chain; fall back to
                    the (sound, non-minimal) full asserted set *)
                 tags := [ tag ];
-                let m = Vec.size edges / stride in
+                let m = edges.Vec.len / stride in
                 for ei = 0 to m - 1 do
                   tags := Vec.get edges ((ei * stride) + 3) :: !tags
                 done
               end;
               raise (Infeasible !tags)
             end;
-            Vec.push changes ex;
-            Vec.push changes d.(ex);
+            vpush changes ex;
+            vpush changes d.(ex);
             d.(ex) <- du + ek;
             t.pred_src.(ex) <- u;
             t.pred_tag.(ex) <- etag;
-            Vec.push queue ex
+            vpush queue ex
           end
         done
       done
     with
     | () ->
-      commit ();
+      commit t ~trail_pos ~x ~y ~k ~tag;
       None
     | exception Infeasible tags ->
       (* roll the distances back; the constraint is not committed.
          Newest-to-oldest so a node touched twice ends on its original
          (oldest) value. *)
-      let i = ref (Vec.size changes - 2) in
+      let i = ref (changes.Vec.len - 2) in
       while !i >= 0 do
-        d.(Vec.unsafe_get changes !i) <- Vec.unsafe_get changes (!i + 1);
+        d.(vget changes !i) <- vget changes (!i + 1);
         i := !i - 2
       done;
       Some (List.sort_uniq compare tags)
@@ -189,13 +203,14 @@ let assert_constr t ~trail_pos ~x ~y ~k ~tag =
 let backtrack t ~trail_size =
   let edges = t.edges in
   let continue = ref true in
-  while !continue && Vec.size edges > 0 do
-    let base = Vec.size edges - stride in
-    if Vec.get edges (base + 4) >= trail_size then begin
-      let ey = Vec.get edges (base + 1) in
-      let idx = Vec.pop t.out.(ey) in
-      assert (idx = base);
-      Vec.shrink edges base
+  while !continue && edges.Vec.len > 0 do
+    let base = edges.Vec.len - stride in
+    if vget edges (base + 4) >= trail_size then begin
+      let out = t.out.(vget edges (base + 1)) in
+      let last = out.Vec.len - 1 in
+      assert (last >= 0 && vget out last = base);
+      out.Vec.len <- last;
+      edges.Vec.len <- base
     end
     else continue := false
   done

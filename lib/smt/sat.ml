@@ -83,24 +83,25 @@ type t = {
   mutable reason : int array;  (* cref, or -1 for decisions/units *)
   mutable phase : bool array;
   mutable seen : bool array;
+  toclear : Vec.t;  (* variables conflict minimization marked in [seen] *)
   mutable important : bool array;
       (* variables whose assignment gates early-SAT detection (theory
          atoms): once all of them are assigned and every problem clause
          is satisfied, the remaining variables are don't-cares *)
   mutable activity : float array;
   mutable heap_pos : int array;
-  heap : int Vec.t;
-  mutable watches : int Vec.t array;  (* flat (cref, blocker) pairs *)
-  trail : int Vec.t;
-  trail_lim : int Vec.t;
+  heap : Vec.t;
+  mutable watches : Vec.t array;  (* flat (cref, blocker) pairs *)
+  trail : Vec.t;
+  trail_lim : Vec.t;
   mutable qhead : int;
   (* -- the clause arena -- *)
   mutable arena : int array;
   mutable asize : int;  (* words used, including dead slices *)
   mutable awasted : int;  (* words in deleted slices *)
   mutable compactions : int;
-  clauses : int Vec.t;  (* crefs of problem clauses *)
-  learnts : int Vec.t;  (* crefs of learnt clauses *)
+  clauses : Vec.t;  (* crefs of problem clauses *)
+  learnts : Vec.t;  (* crefs of learnt clauses *)
   mutable ok : bool;
   mutable var_inc : float;
   mutable cla_inc : float;
@@ -181,6 +182,30 @@ let lit_var l = l lsr 1
 let lit_sign l = l land 1 = 0
 let lit_neg l = l lxor 1
 
+(* -- int vectors, read in place -------------------------------------------
+
+   Dev builds compile every module with -opaque, so no function of
+   [Vec] is inlined here: each call would be an unknown call through
+   [caml_applyN] on the hottest paths of the search.  The loops below
+   use these copies instead, which this module inlines; like
+   [Vec.unsafe_get] they bounds-check only under MS_VEC_DEBUG. *)
+let[@inline] vget (v : Vec.t) i =
+  if Vec.debug && (i < 0 || i >= v.Vec.len) then invalid_arg "Vec.unsafe_get (MS_VEC_DEBUG)";
+  Array.unsafe_get v.Vec.data i
+
+let[@inline] vset (v : Vec.t) i x =
+  if Vec.debug && (i < 0 || i >= v.Vec.len) then invalid_arg "Vec.unsafe_set (MS_VEC_DEBUG)";
+  Array.unsafe_set v.Vec.data i x
+
+let[@inline] vpush (v : Vec.t) x =
+  if v.Vec.len = Array.length v.Vec.data then Vec.grow v;
+  Array.unsafe_set v.Vec.data v.Vec.len x;
+  v.Vec.len <- v.Vec.len + 1
+
+let[@inline] vshrink (v : Vec.t) n =
+  if Vec.debug && (n < 0 || n > v.Vec.len) then invalid_arg "Vec.shrink (MS_VEC_DEBUG)";
+  v.Vec.len <- n
+
 let create () =
   {
     nvars = 0;
@@ -189,20 +214,21 @@ let create () =
     reason = Array.make 16 (-1);
     phase = Array.make 16 false;
     seen = Array.make 16 false;
+    toclear = Vec.create ();
     important = Array.make 16 false;
     activity = Array.make 16 0.0;
     heap_pos = Array.make 16 (-1);
-    heap = Vec.create ~dummy:(-1) ();
-    watches = Array.init 32 (fun _ -> Vec.create ~dummy:(-1) ());
-    trail = Vec.create ~dummy:(-1) ();
-    trail_lim = Vec.create ~dummy:(-1) ();
+    heap = Vec.create ();
+    watches = Array.init 32 (fun _ -> Vec.create ());
+    trail = Vec.create ();
+    trail_lim = Vec.create ();
     qhead = 0;
     arena = Array.make 1024 0;
     asize = 0;
     awasted = 0;
     compactions = 0;
-    clauses = Vec.create ~dummy:(-1) ();
-    learnts = Vec.create ~dummy:(-1) ();
+    clauses = Vec.create ();
+    learnts = Vec.create ();
     ok = true;
     var_inc = 1.0;
     cla_inc = 1.0;
@@ -300,12 +326,12 @@ let unsat_core s = s.core
 
 (* -- clause accessors over the arena -------------------------------------- *)
 
-let c_size s c = s.arena.(c) lsr 3
-let c_learnt s c = s.arena.(c) land 1 = 1
-let c_deleted s c = s.arena.(c) land 2 <> 0
-let c_lit s c k = s.arena.(c + header_words + k)
-let c_lbd s c = s.arena.(c + 2)
-let c_set_glue s c g = s.arena.(c + 2) <- g
+let[@inline] c_size s c = s.arena.(c) lsr 3
+let[@inline] c_learnt s c = s.arena.(c) land 1 = 1
+let[@inline] c_deleted s c = s.arena.(c) land 2 <> 0
+let[@inline] c_lit s c k = s.arena.(c + header_words + k)
+let[@inline] c_lbd s c = s.arena.(c + 2)
+let[@inline] c_set_glue s c g = s.arena.(c + 2) <- g
 
 (* a fresh copy of the literal slice (proof logging, checker hand-off) *)
 let clause_lits s c = Array.init (c_size s c) (fun k -> s.arena.(c + header_words + k))
@@ -342,50 +368,70 @@ let alloc_clause s lits learnt =
 
 (* -- variable order (binary max-heap on activity) ------------------------ *)
 
-let heap_less s a b = s.activity.(a) > s.activity.(b)
+let[@inline] heap_less s a b = s.activity.(a) > s.activity.(b)
 
-let rec heap_up s i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    let vi = Vec.unsafe_get s.heap i and vp = Vec.unsafe_get s.heap parent in
-    if heap_less s vi vp then begin
-      Vec.unsafe_set s.heap i vp;
-      Vec.unsafe_set s.heap parent vi;
-      s.heap_pos.(vp) <- i;
-      s.heap_pos.(vi) <- parent;
-      heap_up s parent
+(* Both sifts move a hole instead of swapping, and write the moving
+   variable once at its final slot.  A variable leaves its slot only
+   for a strictly more active one, and [heap_down] prefers the left
+   child on ties, so the heap ends in the same shape as with pairwise
+   swaps. *)
+let heap_up s i =
+  let heap = s.heap in
+  let x = vget heap i in
+  let i = ref i in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let p = vget heap parent in
+    if heap_less s x p then begin
+      vset heap !i p;
+      s.heap_pos.(p) <- !i;
+      i := parent
     end
-  end
+    else continue := false
+  done;
+  vset heap !i x;
+  s.heap_pos.(x) <- !i
 
-let rec heap_down s i =
-  let n = Vec.size s.heap in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < n && heap_less s (Vec.unsafe_get s.heap l) (Vec.unsafe_get s.heap !best) then best := l;
-  if r < n && heap_less s (Vec.unsafe_get s.heap r) (Vec.unsafe_get s.heap !best) then best := r;
-  if !best <> i then begin
-    let vi = Vec.unsafe_get s.heap i and vb = Vec.unsafe_get s.heap !best in
-    Vec.unsafe_set s.heap i vb;
-    Vec.unsafe_set s.heap !best vi;
-    s.heap_pos.(vb) <- i;
-    s.heap_pos.(vi) <- !best;
-    heap_down s !best
-  end
+let heap_down s i =
+  let heap = s.heap in
+  let n = heap.Vec.len in
+  let x = vget heap i in
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let r = l + 1 in
+      let child = if r < n && heap_less s (vget heap r) (vget heap l) then r else l in
+      let c = vget heap child in
+      if heap_less s c x then begin
+        vset heap !i c;
+        s.heap_pos.(c) <- !i;
+        i := child
+      end
+      else continue := false
+    end
+  done;
+  vset heap !i x;
+  s.heap_pos.(x) <- !i
 
 let heap_insert s v =
   if s.heap_pos.(v) < 0 then begin
-    Vec.push s.heap v;
-    s.heap_pos.(v) <- Vec.size s.heap - 1;
-    heap_up s (Vec.size s.heap - 1)
+    vpush s.heap v;
+    heap_up s (s.heap.Vec.len - 1)
   end
 
 let heap_pop s =
-  let top = Vec.get s.heap 0 in
-  let last = Vec.pop s.heap in
+  let heap = s.heap in
+  let top = vget heap 0 in
+  let n = heap.Vec.len - 1 in
+  let last = vget heap n in
+  vshrink heap n;
   s.heap_pos.(top) <- -1;
-  if Vec.size s.heap > 0 then begin
-    Vec.set s.heap 0 last;
-    s.heap_pos.(last) <- 0;
+  if n > 0 then begin
+    vset heap 0 last;
     heap_down s 0
   end;
   top
@@ -416,10 +462,10 @@ let new_var s =
   let nlits = 2 * s.nvars in
   if Array.length s.watches < nlits then begin
     let old = Array.length s.watches in
-    let fresh = Array.make (max nlits (2 * old)) (Vec.create ~dummy:(-1) ()) in
+    let fresh = Array.make (max nlits (2 * old)) (Vec.create ()) in
     Array.blit s.watches 0 fresh 0 old;
     for i = old to Array.length fresh - 1 do
-      fresh.(i) <- Vec.create ~dummy:(-1) ()
+      fresh.(i) <- Vec.create ()
     done;
     s.watches <- fresh
   end;
@@ -440,25 +486,26 @@ let mark_important s v =
 (* variables are allocated densely and literals validated on entry, so
    the assignment read skips the bounds check: this is the single
    hottest load in the solver *)
-let lit_value s l =
+let[@inline] lit_value s l =
   let v = Array.unsafe_get s.assign (l lsr 1) in
   if l land 1 = 0 then v else -v
 
-let decision_level s = Vec.size s.trail_lim
+let[@inline] decision_level s = s.trail_lim.Vec.len
 
-let enqueue s l reason =
+let[@inline] enqueue s l reason =
   let v = lit_var l in
   s.assign.(v) <- (if lit_sign l then 1 else -1);
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   if s.important.(v) then s.important_assigned <- s.important_assigned + 1;
-  Vec.push s.trail l
+  vpush s.trail l
 
 let cancel_until s lvl =
   if decision_level s > lvl then begin
-    let bound = Vec.get s.trail_lim lvl in
-    for i = Vec.size s.trail - 1 downto bound do
-      let l = Vec.get s.trail i in
+    let trail = s.trail in
+    let bound = vget s.trail_lim lvl in
+    for i = trail.Vec.len - 1 downto bound do
+      let l = vget trail i in
       let v = lit_var l in
       s.phase.(v) <- lit_sign l;
       s.assign.(v) <- 0;
@@ -467,8 +514,8 @@ let cancel_until s lvl =
       heap_insert s v
     done;
     s.qhead <- bound;
-    Vec.shrink s.trail bound;
-    Vec.shrink s.trail_lim lvl;
+    vshrink trail bound;
+    vshrink s.trail_lim lvl;
     s.on_backtrack bound
   end
 
@@ -528,11 +575,11 @@ let cla_decay s = s.cla_inc <- s.cla_inc /. 0.999
 let attach s c =
   let l0 = c_lit s c 0 and l1 = c_lit s c 1 in
   let w0 = s.watches.(l0) in
-  Vec.push w0 c;
-  Vec.push w0 l1;
+  vpush w0 c;
+  vpush w0 l1;
   let w1 = s.watches.(l1) in
-  Vec.push w1 c;
-  Vec.push w1 l0
+  vpush w1 c;
+  vpush w1 l0
 
 let add_clause s lits =
   (* A previous Sat answer leaves its model on the trail; new clauses are
@@ -579,24 +626,24 @@ let add_clause s lits =
 let propagate s =
   let confl = ref (-1) in
   let trail = s.trail in
-  while !confl < 0 && s.qhead < Vec.size trail do
-    let p = Vec.unsafe_get trail s.qhead in
+  while !confl < 0 && s.qhead < trail.Vec.len do
+    let p = vget trail s.qhead in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
     let fl = lit_neg p in
     let ws = Array.unsafe_get s.watches fl in
-    let n = Vec.size ws in
+    let n = ws.Vec.len in
     let arena = s.arena in
     let i = ref 0 and j = ref 0 in
     while !i < n do
-      let cr = Vec.unsafe_get ws !i in
-      let blocker = Vec.unsafe_get ws (!i + 1) in
+      let cr = vget ws !i in
+      let blocker = vget ws (!i + 1) in
       i := !i + 2;
       if lit_value s blocker = 1 then begin
         (* Blocking literal is true: the clause is satisfied without
            touching its literal slice. *)
-        Vec.unsafe_set ws !j cr;
-        Vec.unsafe_set ws (!j + 1) blocker;
+        vset ws !j cr;
+        vset ws (!j + 1) blocker;
         j := !j + 2
       end
       else begin
@@ -612,8 +659,8 @@ let propagate s =
           if lit_value s first = 1 then begin
             (* Clause satisfied by the other watch; keep it here and
                remember that watch as the blocker. *)
-            Vec.unsafe_set ws !j cr;
-            Vec.unsafe_set ws (!j + 1) first;
+            vset ws !j cr;
+            vset ws (!j + 1) first;
             j := !j + 2
           end
           else begin
@@ -628,18 +675,18 @@ let propagate s =
               Array.unsafe_set arena (cr + 4) lk;
               Array.unsafe_set arena (cr + 3 + !k) fl;
               let wk = Array.unsafe_get s.watches lk in
-              Vec.push wk cr;
-              Vec.push wk first
+              vpush wk cr;
+              vpush wk first
             end
             else begin
-              Vec.unsafe_set ws !j cr;
-              Vec.unsafe_set ws (!j + 1) first;
+              vset ws !j cr;
+              vset ws (!j + 1) first;
               j := !j + 2;
               if lit_value s first = -1 then begin
                 confl := cr;
-                s.qhead <- Vec.size trail;
+                s.qhead <- trail.Vec.len;
                 while !i < n do
-                  Vec.unsafe_set ws !j (Vec.unsafe_get ws !i);
+                  vset ws !j (vget ws !i);
                   incr i;
                   incr j
                 done
@@ -651,7 +698,7 @@ let propagate s =
         (* deleted clause: drop the watcher pair *)
       end
     done;
-    Vec.shrink ws !j
+    vshrink ws !j
   done;
   !confl
 
@@ -745,14 +792,15 @@ let reason_exn s v =
    path from its reason bottoms out in clause literals or level-0 facts.
    [abstract_levels] is a Bloom filter of the levels present in the
    clause — a var on a level outside it can never be absorbed.
-   Successfully explored vars stay marked in [s.seen] (memoization);
-   the caller collects them in [extra] and unmarks after use. *)
-let abstract_level s v = 1 lsl (s.level.(v) mod 61)
+   Successfully explored vars stay marked in [s.seen] (memoization)
+   and listed in [s.toclear], which the caller unmarks after use. *)
+let[@inline] abstract_level s v = 1 lsl (s.level.(v) mod 61)
 
 exception Keep
 
-let lit_redundant_rec s abstract_levels extra q0 =
-  let marked = ref [] in
+let lit_redundant_rec s abstract_levels q0 =
+  let toclear = s.toclear in
+  let top = toclear.Vec.len in
   let rec go q =
     let r = s.reason.(lit_var q) in
     if r < 0 then raise Keep
@@ -763,7 +811,7 @@ let lit_redundant_rec s abstract_levels extra q0 =
         if (not s.seen.(v)) && s.level.(v) > 0 then begin
           if s.reason.(v) >= 0 && abstract_level s v land abstract_levels <> 0 then begin
             s.seen.(v) <- true;
-            marked := v :: !marked;
+            vpush toclear v;
             go l
           end
           else raise Keep
@@ -771,11 +819,12 @@ let lit_redundant_rec s abstract_levels extra q0 =
       done
   in
   match go q0 with
-  | () ->
-    extra := List.rev_append !marked !extra;
-    true
+  | () -> true
   | exception Keep ->
-    List.iter (fun v -> s.seen.(v) <- false) !marked;
+    for i = top to toclear.Vec.len - 1 do
+      s.seen.(vget toclear i) <- false
+    done;
+    vshrink toclear top;
     false
 
 let compute_lbd s lits =
@@ -785,7 +834,7 @@ let analyze s confl =
   let learnt = ref [] in
   let path = ref 0 in
   let p = ref (-1) in
-  let idx = ref (Vec.size s.trail - 1) in
+  let idx = ref (s.trail.Vec.len - 1) in
   let c = ref confl in
   let dl = decision_level s in
   let expanding = ref true in
@@ -811,10 +860,10 @@ let analyze s confl =
         if s.level.(v) >= dl then incr path else learnt := q :: !learnt
       end
     done;
-    while not s.seen.(lit_var (Vec.get s.trail !idx)) do
+    while not s.seen.(lit_var (vget s.trail !idx)) do
       decr idx
     done;
-    p := Vec.get s.trail !idx;
+    p := vget s.trail !idx;
     decr idx;
     s.seen.(lit_var !p) <- false;
     decr path;
@@ -823,9 +872,12 @@ let analyze s confl =
   let abstract_levels =
     List.fold_left (fun acc q -> acc lor abstract_level s (lit_var q)) 0 !learnt
   in
-  let extra = ref [] in
-  let tail = List.filter (fun q -> not (lit_redundant_rec s abstract_levels extra q)) !learnt in
-  List.iter (fun v -> s.seen.(v) <- false) !extra;
+  let tail = List.filter (fun q -> not (lit_redundant_rec s abstract_levels q)) !learnt in
+  let toclear = s.toclear in
+  for i = 0 to toclear.Vec.len - 1 do
+    s.seen.(vget toclear i) <- false
+  done;
+  vshrink toclear 0;
   List.iter (fun q -> s.seen.(lit_var q) <- false) !learnt;
   let asserting = lit_neg !p in
   (* Backjump level: highest level among the tail. *)
@@ -975,7 +1027,7 @@ let import_clause s lits =
     else begin
       cancel_until s 0;
       (* scratch decision level asserting the clause's negation *)
-      Vec.push s.trail_lim (Vec.size s.trail);
+      vpush s.trail_lim s.trail.Vec.len;
       List.iter (fun l -> if lit_value s l = 0 then enqueue s (lit_neg l) (-1)) lits;
       let confl = propagate s in
       cancel_until s 0;
@@ -1071,10 +1123,10 @@ let clause_satisfied s c =
 
 let all_problem_clauses_satisfied s =
   let ok = ref true in
-  let n = Vec.size s.clauses in
+  let n = s.clauses.Vec.len in
   let i = ref 0 in
   while !ok && !i < n do
-    if not (clause_satisfied s (Vec.unsafe_get s.clauses !i)) then begin
+    if not (clause_satisfied s (vget s.clauses !i)) then begin
       ok := false;
       s.scan_cursor <- !i
     end;
@@ -1087,14 +1139,14 @@ let all_problem_clauses_satisfied s =
    scan.  While it is still unsatisfied a full scan cannot succeed. *)
 let scan_prefilter s =
   s.scan_cursor < 0
-  || s.scan_cursor >= Vec.size s.clauses
-  || clause_satisfied s (Vec.unsafe_get s.clauses s.scan_cursor)
+  || s.scan_cursor >= s.clauses.Vec.len
+  || clause_satisfied s (vget s.clauses s.scan_cursor)
 
 (* -- main solve loop -------------------------------------------------------- *)
 
 let decide s =
   let rec next () =
-    if Vec.is_empty s.heap then -1
+    if s.heap.Vec.len = 0 then -1
     else begin
       let v = heap_pop s in
       if s.assign.(v) = 0 then v else next ()
@@ -1104,7 +1156,7 @@ let decide s =
   if v < 0 then false
   else begin
     s.decisions <- s.decisions + 1;
-    Vec.push s.trail_lim (Vec.size s.trail);
+    vpush s.trail_lim s.trail.Vec.len;
     enqueue s (if s.phase.(v) then pos_lit v else neg_lit v) (-1);
     true
   end
@@ -1157,12 +1209,12 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
       let p = assumps.(decision_level s) in
       match lit_value s p with
       | 1 ->
-        Vec.push s.trail_lim (Vec.size s.trail);
+        vpush s.trail_lim s.trail.Vec.len;
         pick_assumption ()
       | -1 -> `Failed p
       | _ ->
         s.decisions <- s.decisions + 1;
-        Vec.push s.trail_lim (Vec.size s.trail);
+        vpush s.trail_lim s.trail.Vec.len;
         enqueue s p (-1);
         `Propagate
     end
@@ -1184,12 +1236,12 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
       (* restart-scheduling signals, read at conflict time: the trail
          EMA feeds restart blocking; in rephase mode the deepest trail
          seen snapshots its assignment as the best phases *)
-      let tsize = Vec.size s.trail in
+      let tsize = s.trail.Vec.len in
       s.trail_ema <- s.trail_ema +. (0.000244140625 *. (float_of_int tsize -. s.trail_ema));
       if s.strategy.rephase && tsize > s.best_trail then begin
         s.best_trail <- tsize;
         for i = 0 to tsize - 1 do
-          let l = Vec.get s.trail i in
+          let l = vget s.trail i in
           s.best_phase.(lit_var l) <- lit_sign l
         done
       end;
@@ -1213,7 +1265,7 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
            c_set_glue s c glue;
            cla_bump s c;
            s.learnts_made <- s.learnts_made + 1;
-           Vec.push s.learnts c;
+           vpush s.learnts c;
            attach s c;
            enqueue s l c);
         export_learnt s learnt glue;
@@ -1246,7 +1298,7 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
       if
         s.strategy.restart_mode = Ema_lbd
         && s.conflicts > 5000
-        && float_of_int (Vec.size s.trail) > 1.4 *. s.trail_ema
+        && float_of_int s.trail.Vec.len > 1.4 *. s.trail_ema
       then begin
         (* restart blocking: the trail is unusually deep for this
            search, i.e. it looks close to a satisfying assignment —
@@ -1282,7 +1334,7 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
         answer := Some Unsat
       | `Propagate -> ()
       | `Search ->
-        let total = Vec.size s.trail = s.nvars in
+        let total = s.trail.Vec.len = s.nvars in
         let early =
           (not total) && s.early_sat_enabled
           && s.important_assigned = s.n_important
@@ -1306,7 +1358,7 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
             if not s.ok then answer := Some Unsat
         end
         else begin
-          if float_of_int (Vec.size s.learnts) > s.max_learnts then begin
+          if float_of_int s.learnts.Vec.len > s.max_learnts then begin
             reduce_db s;
             s.max_learnts <- s.max_learnts *. 1.3
           end;
@@ -1336,5 +1388,4 @@ let value_lit s l = lit_value s l = 1
 
 let var_assigned s v = s.assign.(v) <> 0
 
-let trail_size s = Vec.size s.trail
-let trail_lit s i = Vec.get s.trail i
+let trail s = s.trail

@@ -287,8 +287,7 @@ val minor_words : t -> float
     allocation-free-propagation claim: at steady state this grows by
     roughly zero words per propagation. *)
 
-val trail_size : t -> int
-(** Current length of the assignment trail (theory-integration use). *)
-
-val trail_lit : t -> int -> int
-(** The [i]-th literal on the trail, in assignment order. *)
+val trail : t -> Vec.t
+(** The assignment trail itself, literals in assignment order, for a
+    theory solver to read in place (elements [0] to [len - 1]).  It is
+    the solver's own vector: read it, never write it. *)

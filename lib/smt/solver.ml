@@ -8,7 +8,11 @@ type tstate = {
   idl : Idl_inc.t;
   simplex : Simplex.t;
   rat_atoms : (int * Cnf.rat_atom) array;
-  atom_of_var : Cnf.int_atom option array;
+  atom_index : int array;
+      (* SAT variable -> slot of its difference atom, or -1; slot [a]
+         holds the atom [x - y <= k] as [atom_xyk.(3a .. 3a+2)], with
+         the constant 0 already mapped to [zero] *)
+  atom_xyk : int array;
   n_int_atoms : int;
   n_rat_atoms : int;
   n_int_vars : int;
@@ -153,15 +157,17 @@ let theory_state s =
              { coeffs = a.rcoeffs; bound = a.rbound })
            rat_atoms)
     in
-    let atom_of_var = Array.make (max (Sat.nvars sat) 1) None in
-    List.iter
-      (fun ((v, a) : int * Cnf.int_atom) -> atom_of_var.(v) <- Some a)
-      (Cnf.int_atoms c);
+    let atom_index = Array.make (max (Sat.nvars sat) 1) (-1) in
+    let atom_xyk = Array.make (3 * n_int_atoms) 0 in
     let idl = Idl_inc.create ~nvars:(zero + 1) in
-    List.iter
-      (fun ((v, a) : int * Cnf.int_atom) ->
+    List.iteri
+      (fun i ((v, a) : int * Cnf.int_atom) ->
         let x = if a.Cnf.ix < 0 then zero else a.Cnf.ix in
         let y = if a.Cnf.iy < 0 then zero else a.Cnf.iy in
+        atom_index.(v) <- i;
+        atom_xyk.(3 * i) <- x;
+        atom_xyk.((3 * i) + 1) <- y;
+        atom_xyk.((3 * i) + 2) <- a.Cnf.ik;
         Idl_inc.register_atom idl ~x ~y ~k:a.Cnf.ik ~var:v)
       (Cnf.int_atoms c);
     let ts =
@@ -170,7 +176,8 @@ let theory_state s =
         idl;
         simplex;
         rat_atoms;
-        atom_of_var;
+        atom_index;
+        atom_xyk;
         n_int_atoms;
         n_rat_atoms;
         n_int_vars;
@@ -197,10 +204,11 @@ let check ?(assumptions = []) s =
   let zero = ts.zero in
   let idl = ts.idl in
   let rat_atoms = ts.rat_atoms in
-  (* [atom_of_var] was sized when the cache was built; SAT variables
+  (* [atom_index] was sized when the cache was built; SAT variables
      allocated since (non-atoms, or the check would have rebuilt) fall
      off its end. *)
-  let atom_of v = if v < Array.length ts.atom_of_var then ts.atom_of_var.(v) else None in
+  let atom_index = ts.atom_index and atom_xyk = ts.atom_xyk in
+  let n_indexed = Array.length atom_index in
   (* Theory atoms gate early-SAT detection: an unassigned atom could
      still be refuted by the theory. *)
   List.iter (fun ((v, _) : int * Cnf.int_atom) -> Sat.mark_important sat v) (Cnf.int_atoms c);
@@ -215,53 +223,55 @@ let check ?(assumptions = []) s =
   let pending = ref [] in
   (* Process trail entries [!theory_pos, trail_size): assert difference
      atoms incrementally; a failed assertion yields a conflict clause. *)
+  (* The trail is read in place and literals decoded here: this loop
+     runs once per assigned literal, and a call into [Sat] per read
+     would cost more than the read. *)
   let process_new sat =
-    let size = Sat.trail_size sat in
+    let trail = Sat.trail sat in
+    let size = trail.Vec.len in
     let conflict = ref None in
     let running = ref true in
     while !running && !theory_pos < size do
       let i = !theory_pos in
-      let lit = Sat.trail_lit sat i in
-      let v = Sat.lit_var lit in
-      (match atom_of v with
-       | None -> ()
-       | Some a ->
-         let x = if a.Cnf.ix < 0 then zero else a.Cnf.ix in
-         let y = if a.Cnf.iy < 0 then zero else a.Cnf.iy in
-         let res =
-           if Sat.lit_sign lit then
-             Idl_inc.assert_constr idl ~trail_pos:i ~x ~y ~k:a.Cnf.ik ~tag:(Sat.pos_lit v)
-           else
-             Idl_inc.assert_constr idl ~trail_pos:i ~x:y ~y:x ~k:(-a.Cnf.ik - 1)
-               ~tag:(Sat.neg_lit v)
-         in
-         (match res with
-          | None ->
-            (* Ladder propagation: x-y<=k true forces every weaker
-               bound on the pair; false forces every stronger bound
-               false.  Emitting the binary lemma towards the adjacent
-               unassigned rung lets unit propagation (with the lemma as
-               reason) do what would otherwise each be a full theory
-               conflict; adjacency composes, so the whole ladder is
-               eventually covered. *)
-            if Sat.lit_sign lit then begin
-              let v' = Idl_inc.ladder_above idl ~var:v in
-              if v' >= 0 && not (Sat.var_assigned sat v') then begin
-                pending := [ Sat.neg_lit v; Sat.pos_lit v' ] :: !pending;
-                s.theory_props <- s.theory_props + 1
-              end
+      let lit = trail.Vec.data.(i) in
+      let v = lit lsr 1 in
+      let a = if v < n_indexed then atom_index.(v) else -1 in
+      if a >= 0 then begin
+        let x = atom_xyk.(3 * a) and y = atom_xyk.((3 * a) + 1) and k = atom_xyk.((3 * a) + 2) in
+        let positive = lit land 1 = 0 in
+        (* the constraint's tag is the literal that asserts it *)
+        let res =
+          if positive then Idl_inc.assert_constr idl ~trail_pos:i ~x ~y ~k ~tag:lit
+          else Idl_inc.assert_constr idl ~trail_pos:i ~x:y ~y:x ~k:(-k - 1) ~tag:lit
+        in
+        match res with
+        | None ->
+          (* Ladder propagation: x-y<=k true forces every weaker
+             bound on the pair; false forces every stronger bound
+             false.  Emitting the binary lemma towards the adjacent
+             unassigned rung lets unit propagation (with the lemma as
+             reason) do what would otherwise each be a full theory
+             conflict; adjacency composes, so the whole ladder is
+             eventually covered. *)
+          if positive then begin
+            let v' = Idl_inc.ladder_above idl ~var:v in
+            if v' >= 0 && not (Sat.var_assigned sat v') then begin
+              pending := [ Sat.neg_lit v; Sat.pos_lit v' ] :: !pending;
+              s.theory_props <- s.theory_props + 1
             end
-            else begin
-              let v' = Idl_inc.ladder_below idl ~var:v in
-              if v' >= 0 && not (Sat.var_assigned sat v') then begin
-                pending := [ Sat.neg_lit v'; Sat.pos_lit v ] :: !pending;
-                s.theory_props <- s.theory_props + 1
-              end
+          end
+          else begin
+            let v' = Idl_inc.ladder_below idl ~var:v in
+            if v' >= 0 && not (Sat.var_assigned sat v') then begin
+              pending := [ Sat.neg_lit v'; Sat.pos_lit v ] :: !pending;
+              s.theory_props <- s.theory_props + 1
             end
-          | Some tags ->
-            s.theory_rounds <- s.theory_rounds + 1;
-            running := false;
-            conflict := Some (List.map Sat.lit_neg tags)));
+          end
+        | Some tags ->
+          s.theory_rounds <- s.theory_rounds + 1;
+          running := false;
+          conflict := Some (List.map Sat.lit_neg tags)
+      end;
       if !running then incr theory_pos
     done;
     !conflict

@@ -1,29 +1,29 @@
-type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
+type t = { mutable data : int array; mutable len : int }
 
-(* Debug mode: the [unsafe_*] accessors regain bounds checks when the
+(* Debug mode: the [unsafe_*] accessors — and the copies of them that
+   the SAT core's loops inline — regain bounds checks when the
    environment sets MS_VEC_DEBUG (any value but "0"/""), so a cref or
-   watcher-index bug in the SAT core's hot loops fails loudly instead of
-   reading garbage.  The flag is read once at module initialization: the
-   branch on an immutable bool predicts perfectly and keeps the release
-   path identical to a bare [Array.unsafe_get]. *)
+   watcher-index bug in the hot loops fails loudly instead of reading
+   garbage.  The flag is read once at module initialization: the branch
+   on an immutable bool predicts perfectly and keeps the release path
+   identical to a bare [Array.unsafe_get]. *)
 let debug =
   match Sys.getenv_opt "MS_VEC_DEBUG" with
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-let create ?(capacity = 16) ~dummy () =
-  { data = Array.make (max capacity 1) dummy; len = 0; dummy }
+let create ?(capacity = 16) () = { data = Array.make (max capacity 1) 0; len = 0 }
 
 let size v = v.len
 let is_empty v = v.len = 0
 
 let get v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.get";
-  v.data.(i)
+  Array.unsafe_get v.data i
 
 let set v i x =
   if i < 0 || i >= v.len then invalid_arg "Vec.set";
-  v.data.(i) <- x
+  Array.unsafe_set v.data i x
 
 let unsafe_get v i =
   if debug && (i < 0 || i >= v.len) then invalid_arg "Vec.unsafe_get (MS_VEC_DEBUG)";
@@ -33,11 +33,19 @@ let unsafe_set v i x =
   if debug && (i < 0 || i >= v.len) then invalid_arg "Vec.unsafe_set (MS_VEC_DEBUG)";
   Array.unsafe_set v.data i x
 
-let grow v =
+let ensure_capacity v n =
   let cap = Array.length v.data in
-  let data = Array.make (2 * cap) v.dummy in
-  Array.blit v.data 0 data 0 v.len;
-  v.data <- data
+  if n > cap then begin
+    let cap = ref cap in
+    while !cap < n do
+      cap := 2 * !cap
+    done;
+    let data = Array.make !cap 0 in
+    Array.blit v.data 0 data 0 v.len;
+    v.data <- data
+  end
+
+let grow v = ensure_capacity v (Array.length v.data + 1)
 
 let push v x =
   if v.len = Array.length v.data then grow v;
@@ -47,33 +55,13 @@ let push v x =
 let pop v =
   if v.len = 0 then invalid_arg "Vec.pop";
   v.len <- v.len - 1;
-  let x = v.data.(v.len) in
-  v.data.(v.len) <- v.dummy;
-  x
+  Array.unsafe_get v.data v.len
 
-let last v =
-  if v.len = 0 then invalid_arg "Vec.last";
-  v.data.(v.len - 1)
-
-let clear v =
-  Array.fill v.data 0 v.len v.dummy;
-  v.len <- 0
+let clear v = v.len <- 0
 
 let shrink v n =
   if n < 0 || n > v.len then invalid_arg "Vec.shrink";
-  Array.fill v.data n (v.len - n) v.dummy;
   v.len <- n
-
-let ensure_capacity v n =
-  if n > Array.length v.data then begin
-    let cap = ref (Array.length v.data) in
-    while !cap < n do
-      cap := 2 * !cap
-    done;
-    let data = Array.make !cap v.dummy in
-    Array.blit v.data 0 data 0 v.len;
-    v.data <- data
-  end
 
 let blit src spos dst dpos len =
   if len < 0 || spos < 0 || spos + len > src.len || dpos < 0 || dpos > dst.len then
@@ -84,17 +72,10 @@ let blit src spos dst dpos len =
 
 let iter f v =
   for i = 0 to v.len - 1 do
-    f v.data.(i)
+    f (Array.unsafe_get v.data i)
   done
 
-let fold f acc v =
-  let acc = ref acc in
-  for i = 0 to v.len - 1 do
-    acc := f !acc v.data.(i)
-  done;
-  !acc
-
-let to_list v = List.rev (fold (fun acc x -> x :: acc) [] v)
+let to_list v = Array.to_list (Array.sub v.data 0 v.len)
 
 let sort_in_place cmp v =
   let sub = Array.sub v.data 0 v.len in
@@ -103,6 +84,5 @@ let sort_in_place cmp v =
 
 let swap_remove v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.swap_remove";
-  v.data.(i) <- v.data.(v.len - 1);
   v.len <- v.len - 1;
-  v.data.(v.len) <- v.dummy
+  Array.unsafe_set v.data i (Array.unsafe_get v.data v.len)

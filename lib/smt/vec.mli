@@ -1,49 +1,59 @@
-(** Growable arrays, used pervasively by the SAT core. *)
+(** Growable int arrays, used pervasively by the SAT core.
 
-type 'a t
+    The representation is visible so that the search loops can read
+    [data] and [len] in place: dev builds compile every module with
+    [-opaque], so no function of this module is ever inlined into
+    another, and an accessor call per watcher or trail read would cost
+    more than the read.  Slots at [len] and beyond hold stale ints; only
+    [data.(0)] to [data.(len - 1)] are elements.  Because the elements
+    are ints, [clear], [shrink] and [pop] need not overwrite the freed
+    slots and run in constant time. *)
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [dummy] fills unused slots; it is never returned by accessors. *)
+type t = { mutable data : int array; mutable len : int }
+
+val create : ?capacity:int -> unit -> t
 
 val debug : bool
-(** Whether the [unsafe_*] accessors carry bounds checks in this
-    process (environment variable [MS_VEC_DEBUG], read once at
-    startup; unset, empty or ["0"] means off). *)
+(** Whether the [unsafe_*] accessors, and the copies of them inlined in
+    the SAT core, carry bounds checks in this process (environment
+    variable [MS_VEC_DEBUG], read once at startup; unset, empty or
+    ["0"] means off). *)
 
-val size : 'a t -> int
-val is_empty : 'a t -> bool
-val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
+val size : t -> int
+val is_empty : t -> bool
+val get : t -> int -> int
+val set : t -> int -> int -> unit
 
-val unsafe_get : 'a t -> int -> 'a
-(** [get] without the bounds check — the SAT core's propagation loop
-    accessor.  Reading past [size] is undefined behavior in release
-    mode; with [MS_VEC_DEBUG] set it raises [Invalid_argument] like
-    {!get} (see {!debug}). *)
+val unsafe_get : t -> int -> int
+(** [get] without the bounds check.  Reading past [size] is undefined
+    behavior in release mode; with [MS_VEC_DEBUG] set it raises
+    [Invalid_argument] like {!get} (see {!debug}). *)
 
-val unsafe_set : 'a t -> int -> 'a -> unit
+val unsafe_set : t -> int -> int -> unit
 (** [set] without the bounds check; same debug-mode contract as
     {!unsafe_get}. *)
 
-val push : 'a t -> 'a -> unit
-val pop : 'a t -> 'a
+val grow : t -> unit
+(** Double the capacity ([Array.length data]), keeping the elements:
+    the slow path of an inlined [push]. *)
+
+val push : t -> int -> unit
+val pop : t -> int
 (** @raise Invalid_argument when empty. *)
 
-val last : 'a t -> 'a
-val clear : 'a t -> unit
-val shrink : 'a t -> int -> unit
+val clear : t -> unit
+val shrink : t -> int -> unit
 (** [shrink v n] truncates [v] to its first [n] elements. *)
 
-val blit : 'a t -> int -> 'a t -> int -> int -> unit
+val blit : t -> int -> t -> int -> int -> unit
 (** [blit src spos dst dpos len] copies [len] elements, growing [dst]'s
     length to [dpos + len] when the copy extends past its current size
     ([dpos] itself must not: holes are never created).
     @raise Invalid_argument when a range is out of bounds. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val to_list : 'a t -> 'a list
-val sort_in_place : ('a -> 'a -> int) -> 'a t -> unit
-val swap_remove : 'a t -> int -> unit
+val iter : (int -> unit) -> t -> unit
+val to_list : t -> int list
+val sort_in_place : (int -> int -> int) -> t -> unit
+val swap_remove : t -> int -> unit
 (** [swap_remove v i] removes element [i] by swapping in the last element
     (constant time, does not preserve order). *)

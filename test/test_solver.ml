@@ -292,6 +292,54 @@ let test_import_non_rup_dropped () =
     Alcotest.fail "non-RUP import accepted under proof logging";
   Alcotest.(check int) "nothing imported" 0 (Smt.Sat.num_imported b)
 
+(* -- pinned search ------------------------------------------------------------ *)
+
+(* Conflicts, decisions and propagations of fixed queries, pinned to the
+   values the solver produced before its loops read the vectors in
+   place.  A change meant only to make the SAT kernel faster must leave
+   the search itself, and so every one of these counts, unchanged. *)
+let search_counts (r : MS.Verify.Report.t) =
+  let st = r.MS.Verify.Report.stats in
+  (st.Smt.Solver.conflicts, st.Smt.Solver.decisions, st.Smt.Solver.propagations)
+
+let check_counts name expected r =
+  Alcotest.(check (triple int int int)) name expected (search_counts r)
+
+let test_pinned_fattree_session () =
+  let ft = G.Fattree.make ~pods:4 in
+  let net = ft.G.Fattree.network in
+  let s = MS.Verify.Session.of_encoding (MS.Encode.build net MS.Options.default) in
+  let reach dst =
+    let sources = List.filter (fun t -> t <> dst) ft.G.Fattree.tors in
+    MS.Verify.Query.v ("reach->" ^ dst) (fun enc ->
+        MS.Property.reachability enc ~sources
+          (MS.Property.Subnet (dst, ft.G.Fattree.tor_subnet dst)))
+  in
+  List.iter
+    (fun (dst, expected) -> check_counts ("reach->" ^ dst) expected (MS.Verify.Session.run_one s (reach dst)))
+    [
+      ("tor_0_0", (1942, 8521, 386772));
+      ("tor_3_1", (1035, 2885, 216277));
+      ("tor_1_0", (838, 1844, 163057));
+    ]
+
+let test_pinned_enterprise_mgmt () =
+  let t =
+    G.Enterprise.make ~bulk:98 ~seed:1004 ~routers:6
+      ~inject:{ G.Enterprise.no_bugs with G.Enterprise.hijack = true }
+      ()
+  in
+  let net = t.G.Enterprise.network in
+  let devices = List.map (fun (d : A.device) -> d.A.dev_name) net.A.net_devices in
+  let last = List.nth devices (List.length devices - 1) in
+  let q =
+    MS.Verify.Query.v "mgmt-reachability" (fun enc ->
+        MS.Property.reachability enc ~sources:devices
+          (MS.Property.Subnet (last, t.G.Enterprise.mgmt_prefix last)))
+  in
+  let s = MS.Verify.Session.of_encoding (MS.Encode.build net MS.Options.default) in
+  check_counts "mgmt-reachability" (176, 11049, 108661) (MS.Verify.Session.run_one s q)
+
 let () =
   Alcotest.run "solver"
     [
@@ -308,5 +356,12 @@ let () =
           Alcotest.test_case "non-RUP import dropped" `Quick test_import_non_rup_dropped;
         ] );
       ("early-sat", [ Alcotest.test_case "theory atom stays open" `Quick test_early_sat_theory_atom ]);
+      ( "pinned-search",
+        [
+          Alcotest.test_case "fat tree pods=4 reachability session" `Quick
+            test_pinned_fattree_session;
+          Alcotest.test_case "enterprise management reachability" `Quick
+            test_pinned_enterprise_mgmt;
+        ] );
       ("oracle", [ QCheck_alcotest.to_alcotest prop_strategy_oracle ]);
     ]
