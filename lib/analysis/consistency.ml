@@ -31,7 +31,8 @@ type index = {
 }
 
 let index (net : A.network) =
-  let owners = Hashtbl.create 64 in
+  let n = A.interface_count net in
+  let owners = Hashtbl.create n in
   List.iter
     (fun (d : A.device) ->
       List.iter
@@ -39,7 +40,7 @@ let index (net : A.network) =
           Option.iter (fun ip -> Hashtbl.add owners ip d.A.dev_name) i.A.if_ip)
         d.A.dev_interfaces)
     net.A.net_devices;
-  let sessions = Hashtbl.create 64 in
+  let sessions = Hashtbl.create n in
   List.iter
     (fun (d : A.device) ->
       Option.iter

@@ -13,22 +13,22 @@
 module A = Config.Ast
 module D = Diagnostic
 
-(* Route-map names referenced by a device's BGP neighbors, with the
-   referencing location. *)
+(* Each use pairs the referenced name with a thunk rendering the
+   referencing location: most references resolve, and the location
+   string is only needed for a diagnostic. *)
+
+(* Route-map names referenced by a device's BGP neighbors. *)
 let route_map_uses (dev : A.device) =
   match dev.A.dev_bgp with
   | None -> []
   | Some bgp ->
     List.concat_map
       (fun (n : A.bgp_neighbor) ->
-        let ip = Net.Ipv4.to_string n.A.nbr_ip in
-        (match n.A.nbr_rm_in with
-         | Some rm -> [ (rm, Printf.sprintf "neighbor %s route-map in" ip) ]
-         | None -> [])
-        @
-        match n.A.nbr_rm_out with
-        | Some rm -> [ (rm, Printf.sprintf "neighbor %s route-map out" ip) ]
-        | None -> [])
+        let where dir () =
+          Printf.sprintf "neighbor %s route-map %s" (Net.Ipv4.to_string n.A.nbr_ip) dir
+        in
+        (match n.A.nbr_rm_in with Some rm -> [ (rm, where "in") ] | None -> [])
+        @ match n.A.nbr_rm_out with Some rm -> [ (rm, where "out") ] | None -> [])
       bgp.A.bgp_neighbors
 
 (* Prefix-list names referenced by a device's route-map clauses. *)
@@ -40,7 +40,9 @@ let prefix_list_uses (dev : A.device) =
           List.filter_map
             (function
               | A.Match_prefix_list name ->
-                Some (name, Printf.sprintf "route-map %s clause %d" rm.A.rm_name cl.A.rm_seq)
+                Some
+                  ( name,
+                    fun () -> Printf.sprintf "route-map %s clause %d" rm.A.rm_name cl.A.rm_seq )
               | A.Match_community _ -> None)
             cl.A.rm_matches)
         rm.A.rm_clauses)
@@ -50,13 +52,9 @@ let prefix_list_uses (dev : A.device) =
 let acl_uses (dev : A.device) =
   List.concat_map
     (fun (i : A.interface) ->
-      (match i.A.if_acl_in with
-       | Some a -> [ (a, Printf.sprintf "interface %s in" i.A.if_name) ]
-       | None -> [])
-      @
-      match i.A.if_acl_out with
-      | Some a -> [ (a, Printf.sprintf "interface %s out" i.A.if_name) ]
-      | None -> [])
+      let where dir () = Printf.sprintf "interface %s %s" i.A.if_name dir in
+      (match i.A.if_acl_in with Some a -> [ (a, where "in") ] | None -> [])
+      @ match i.A.if_acl_out with Some a -> [ (a, where "out") ] | None -> [])
     dev.A.dev_interfaces
 
 let check_device (dev : A.device) =
@@ -69,7 +67,7 @@ let check_device (dev : A.device) =
       (fun (name, where) ->
         if A.find_route_map dev name = None then
           Some
-            (D.make ~code:"MS-E001" ~severity:D.Error ~device:d ~obj:where
+            (D.make ~code:"MS-E001" ~severity:D.Error ~device:d ~obj:(where ())
                "route-map %s is not defined" name)
         else None)
       rm_uses
@@ -77,7 +75,7 @@ let check_device (dev : A.device) =
         (fun (name, where) ->
           if A.find_prefix_list dev name = None then
             Some
-              (D.make ~code:"MS-E002" ~severity:D.Error ~device:d ~obj:where
+              (D.make ~code:"MS-E002" ~severity:D.Error ~device:d ~obj:(where ())
                  "prefix-list %s is not defined" name)
           else None)
         pl_uses
@@ -85,7 +83,7 @@ let check_device (dev : A.device) =
         (fun (name, where) ->
           if A.find_acl dev name = None then
             Some
-              (D.make ~code:"MS-E003" ~severity:D.Error ~device:d ~obj:where
+              (D.make ~code:"MS-E003" ~severity:D.Error ~device:d ~obj:(where ())
                  "access-list %s is not defined" name)
           else None)
         acl_uses

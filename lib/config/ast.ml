@@ -155,11 +155,15 @@ let device_index net =
     net.net_devices;
   Hashtbl.find_opt tbl
 
+(** Interfaces over all devices: a size hint for per-address tables. *)
+let interface_count net =
+  List.fold_left (fun n d -> n + List.length d.dev_interfaces) 0 net.net_devices
+
 (** [address_index net] is [device_of_ip net] after one pass over the
     network: the first device (in [net_devices] order) owning each
     interface address. *)
 let address_index net =
-  let tbl = Hashtbl.create 64 in
+  let tbl = Hashtbl.create (interface_count net) in
   List.iter
     (fun d ->
       List.iter

@@ -23,8 +23,11 @@ let of_string s =
 
 let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string p.network) p.length
 let pp fmt p = Format.pp_print_string fmt (to_string p)
-let compare a b = Stdlib.compare (a.network, a.length) (b.network, b.length)
-let equal a b = compare a b = 0
+let compare a b =
+  let c = Int.compare a.network b.network in
+  if c <> 0 then c else Int.compare a.length b.length
+
+let equal a b = a.network = b.network && a.length = b.length
 let network p = p.network
 let length p = p.length
 let first p = p.network

@@ -3,6 +3,10 @@
 type t = private { network : Ipv4.t; length : int }
 (** [network] is always masked to [length] bits. *)
 
+val mask_of_length : int -> Ipv4.t
+(** The netmask of a prefix length in [0, 32]: [mask_of_length 24] is
+    [255.255.255.0]. *)
+
 val make : Ipv4.t -> int -> t
 (** [make addr len] masks [addr] to [len] bits.
     @raise Invalid_argument if [len] is outside [0, 32]. *)

@@ -69,69 +69,94 @@ type classified =
 
 exception Not_difference_logic of Term.t * Term.t
 
-let rat_to_int_exn q =
+(* -- integer atoms in native ints --------------------------------------------- *)
+
+(* Term.scale admits only integral factors on Int terms, so an Int atom
+   has integer coefficients throughout and classifies without rational
+   arithmetic.  Every step is overflow-checked and fails like an
+   out-of-range bound. *)
+let overflow () = failwith "Linexp: difference bound exceeds native int range"
+
+let add_exn a b =
+  let s = a + b in
+  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then overflow () else s
+
+let mul_exn a b =
+  let p = a * b in
+  if a <> 0 && (p / a <> b || (a = -1 && b = min_int)) then overflow () else p
+
+let int_of_rat q =
   assert (Bigint.equal (Rat.den q) Bigint.one);
-  match Bigint.to_int_opt (Rat.num q) with
-  | Some n -> n
-  | None -> failwith "Linexp: integer constant exceeds native int range"
+  match Bigint.to_int_opt (Rat.num q) with Some n -> n | None -> overflow ()
 
-(* Floor of a rational. *)
-let rat_floor q =
-  let num = Rat.num q and den = Rat.den q in
-  let quot, rem = Bigint.divmod num den in
-  if Bigint.is_zero rem || Bigint.sign num >= 0 then quot else Bigint.sub quot Bigint.one
+let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
-let classify_leq ~strict a b =
-  let la = of_term a and lb = of_term b in
-  (* a <= b  <=>  (la - lb) <= 0 : sum coeffs + const <= 0 *)
-  let d = sub la lb in
-  let is_int = Sort.equal (Term.sort a) Sort.Int in
-  match d.coeffs with
-  | [] ->
-    let cmp = Rat.compare d.const Rat.zero in
-    Trivial (if strict then cmp < 0 else cmp <= 0)
-  | coeffs when is_int ->
-    (* Scale to integer coefficients, divide by their gcd, tighten. *)
-    let denom_lcm =
-      List.fold_left
-        (fun acc (_, q) ->
-          let den = Rat.den q in
-          let g = Bigint.gcd acc den in
-          let l, _ = Bigint.divmod (Bigint.mul acc den) g in
-          l)
-        (Rat.den d.const) coeffs
-    in
-    let scaled_coeffs =
-      List.map (fun (v, q) -> (v, Rat.mul q (Rat.of_bigint denom_lcm))) coeffs
-    in
-    let scaled_const = Rat.mul d.const (Rat.of_bigint denom_lcm) in
-    let g =
-      List.fold_left (fun acc (_, q) -> Bigint.gcd acc (Rat.num q)) Bigint.zero scaled_coeffs
-    in
-    let int_coeffs =
-      List.map (fun (v, q) -> (v, rat_to_int_exn (Rat.div q (Rat.of_bigint g)))) scaled_coeffs
-    in
-    (* The left-hand side is an integer, so:
-         sum <= b  tightens to  sum <= floor(b)
-         sum <  b  tightens to  sum <= ceil(b)-1, which is floor(b) for
-         fractional b and b-1 for integral b. *)
-    let bound_rat = Rat.div (Rat.neg scaled_const) (Rat.of_bigint g) in
-    let integral = Bigint.equal (Rat.den bound_rat) Bigint.one in
-    let floored = rat_floor bound_rat in
-    let tightened = if strict && integral then Bigint.sub floored Bigint.one else floored in
-    let k =
-      match Bigint.to_int_opt tightened with
-      | Some n -> n
-      | None -> failwith "Linexp: difference bound exceeds native int range"
-    in
-    (match int_coeffs with
+(* [a - b] as integer coefficients (non-zero, sorted by term id) and a
+   constant.  Atoms have a handful of variables, so an association
+   list beats a table. *)
+let int_difference a b =
+  let coeffs = ref [] and const = ref 0 in
+  let rec go scale (t : Term.t) =
+    match t.node with
+    | Term.Int_const n -> const := add_exn !const (mul_exn scale n)
+    | Term.Var _ ->
+      (match List.find_opt (fun (v, _) -> v == t) !coeffs with
+       | Some (_, c) -> c := add_exn !c scale
+       | None -> coeffs := (t, ref scale) :: !coeffs)
+    | Term.Add (x, y) ->
+      go scale x;
+      go scale y
+    | Term.Sub (x, y) ->
+      go scale x;
+      go (mul_exn scale (-1)) y
+    | Term.Scale (q, x) -> go (mul_exn scale (int_of_rat q)) x
+    | Term.Rat_const _ (* Real-sorted: never inside an Int term *)
+    | Term.True | Term.False | Term.Not _ | Term.And _ | Term.Or _ | Term.Implies _
+    | Term.Iff _ | Term.Ite _ | Term.At_most _ | Term.Leq _ | Term.Lt _ | Term.Eq _
+    | Term.Bv_const _ | Term.Bv_and _ | Term.Bv_ule _ -> raise (Nonlinear t)
+  in
+  go 1 a;
+  go (-1) b;
+  let coeffs =
+    List.filter_map (fun (v, c) -> if !c = 0 then None else Some (v, !c)) !coeffs
+    |> List.sort (fun (u, _) (v, _) -> Int.compare (Term.id u) (Term.id v))
+  in
+  (coeffs, !const)
+
+let classify_int ~strict a b =
+  (* a <= b  <=>  sum c_i x_i + const <= 0 *)
+  match int_difference a b with
+  | [], const -> Trivial (if strict then const < 0 else const <= 0)
+  | coeffs, const ->
+    (* Divide by the coefficients' gcd and tighten.  The left-hand side
+       is an integer, so:
+         sum <= n/g  tightens to  sum <= floor(n/g)
+         sum <  n/g  tightens to  sum <= ceil(n/g)-1, which is
+                     floor(n/g) for fractional n/g and n/g-1 for
+                     integral n/g. *)
+    let g = List.fold_left (fun g (_, c) -> gcd g c) 0 coeffs in
+    if g < 0 then overflow () (* abs min_int *);
+    let n = mul_exn const (-1) in
+    let q = n / g and r = n mod g in
+    let floored = if r < 0 then q - 1 else q in
+    let k = if strict && r = 0 then add_exn floored (-1) else floored in
+    (match List.map (fun (v, c) -> (v, c / g)) coeffs with
      | [ (x, 1) ] -> Idl { x = Some x; y = None; k }
      | [ (y, -1) ] -> Idl { x = None; y = Some y; k }
      | [ (x, 1); (y, -1) ] | [ (y, -1); (x, 1) ] -> Idl { x = Some x; y = Some y; k }
      | _ -> raise (Not_difference_logic (a, b)))
-  | coeffs ->
-    (* Rational: canonicalize by dividing through by |c_1|. *)
-    let lead = match coeffs with (_, q) :: _ -> Rat.abs q | [] -> Rat.one in
-    let coeffs = List.map (fun (v, q) -> (v, Rat.div q lead)) coeffs in
-    let bound = Rat.div (Rat.neg d.const) lead in
-    Lra { coeffs; bound }
+
+let classify_leq ~strict a b =
+  if Sort.equal (Term.sort a) Sort.Int then classify_int ~strict a b
+  else
+    let d = sub (of_term a) (of_term b) in
+    match d.coeffs with
+    | [] ->
+      let cmp = Rat.compare d.const Rat.zero in
+      Trivial (if strict then cmp < 0 else cmp <= 0)
+    | (_, lead) :: _ as coeffs ->
+      (* Rational: canonicalize by dividing through by |c_1|. *)
+      let lead = Rat.abs lead in
+      let coeffs = List.map (fun (v, q) -> (v, Rat.div q lead)) coeffs in
+      let bound = Rat.div (Rat.neg d.const) lead in
+      Lra { coeffs; bound }

@@ -351,7 +351,7 @@ let arena_ensure s n =
       cap := 2 * !cap
     done;
     let fresh = Array.make !cap 0 in
-    Array.blit s.arena 0 fresh 0 s.asize;
+    Vec.copy_ints s.arena 0 fresh 0 s.asize;
     s.arena <- fresh
   end
 
@@ -362,7 +362,7 @@ let alloc_clause s lits learnt =
   s.arena.(c) <- (n lsl 3) lor (if learnt then 1 else 0);
   s.arena.(c + 1) <- 0;
   s.arena.(c + 2) <- 0;
-  Array.blit lits 0 s.arena (c + header_words) n;
+  Vec.copy_ints lits 0 s.arena (c + header_words) n;
   s.asize <- s.asize + header_words + n;
   c
 
@@ -438,27 +438,39 @@ let heap_pop s =
 
 (* -- variable allocation -------------------------------------------------- *)
 
-let grow_array arr n dummy =
+(* Copies of int and bool arrays go through explicit loops: [Array.blit]
+   into a major-heap array pays the write barrier per element (see
+   {!Vec.copy_ints}); float arrays are unboxed and [Array.blit] moves
+   them in bulk. *)
+let copy_bools (src : bool array) (dst : bool array) len =
+  for i = 0 to len - 1 do
+    dst.(i) <- src.(i)
+  done
+
+let grow_array copy arr n dummy =
   let old = Array.length arr in
   if n <= old then arr
   else begin
     let fresh = Array.make (max n (2 * old)) dummy in
-    Array.blit arr 0 fresh 0 old;
+    copy arr fresh old;
     fresh
   end
+
+let ints src dst len = Vec.copy_ints src 0 dst 0 len
+let floats src dst len = Array.blit src 0 dst 0 len
 
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
-  s.assign <- grow_array s.assign s.nvars 0;
-  s.level <- grow_array s.level s.nvars 0;
-  s.reason <- grow_array s.reason s.nvars (-1);
-  s.phase <- grow_array s.phase s.nvars false;
-  s.best_phase <- grow_array s.best_phase s.nvars false;
-  s.seen <- grow_array s.seen s.nvars false;
-  s.important <- grow_array s.important s.nvars false;
-  s.activity <- grow_array s.activity s.nvars 0.0;
-  s.heap_pos <- grow_array s.heap_pos s.nvars (-1);
+  s.assign <- grow_array ints s.assign s.nvars 0;
+  s.level <- grow_array ints s.level s.nvars 0;
+  s.reason <- grow_array ints s.reason s.nvars (-1);
+  s.phase <- grow_array copy_bools s.phase s.nvars false;
+  s.best_phase <- grow_array copy_bools s.best_phase s.nvars false;
+  s.seen <- grow_array copy_bools s.seen s.nvars false;
+  s.important <- grow_array copy_bools s.important s.nvars false;
+  s.activity <- grow_array floats s.activity s.nvars 0.0;
+  s.heap_pos <- grow_array ints s.heap_pos s.nvars (-1);
   let nlits = 2 * s.nvars in
   if Array.length s.watches < nlits then begin
     let old = Array.length s.watches in
@@ -529,7 +541,7 @@ let cancel_until s lvl =
    live assignment is contradicted. *)
 let rephase s =
   (match s.rephase_kind land 3 with
-   | 0 | 2 -> Array.blit s.best_phase 0 s.phase 0 s.nvars
+   | 0 | 2 -> copy_bools s.best_phase s.phase s.nvars
    | 1 ->
      for v = 0 to s.nvars - 1 do
        s.phase.(v) <- not s.phase.(v)
@@ -724,7 +736,7 @@ let compact s =
     else begin
       let words = header_words + c_size s c in
       let nc = !to_size in
-      Array.blit s.arena c to_arena nc words;
+      Vec.copy_ints s.arena c to_arena nc words;
       to_size := nc + words;
       s.arena.(c) <- s.arena.(c) lor 4;
       s.arena.(c + 1) <- nc;

@@ -270,6 +270,8 @@ let sub a b =
 
 let scale q t =
   match t.sort with
+  | Sort.Int when not (Exactnum.Bigint.equal (Rat.den q) Exactnum.Bigint.one) ->
+    invalid_arg "Term.scale: non-integer scaling of Int term"
   | Sort.Int | Sort.Real ->
     (match t.node with
      | Int_const n ->

@@ -84,6 +84,9 @@ val rat_const : Exactnum.Rat.t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : Exactnum.Rat.t -> t -> t
+(** [scale q t] is [q * t].
+    @raise Invalid_argument when [t] is Int-sorted and [q] is not an
+    integer, or [t] is not arithmetic. *)
 
 val leq : t -> t -> t
 val lt : t -> t -> t

@@ -33,6 +33,23 @@ let unsafe_set v i x =
   if debug && (i < 0 || i >= v.len) then invalid_arg "Vec.unsafe_set (MS_VEC_DEBUG)";
   Array.unsafe_set v.data i x
 
+(* [Array.blit] into an array on the major heap runs the write barrier
+   ([caml_modify]) once per element: the runtime cannot tell the
+   elements are ints.  This loop stores them directly.  Overlapping
+   ranges of one array copy as [Array.blit] does. *)
+let copy_ints (src : int array) spos (dst : int array) dpos len =
+  if len < 0 || spos < 0 || spos > Array.length src - len || dpos < 0
+     || dpos > Array.length dst - len
+  then invalid_arg "Vec.copy_ints";
+  if src == dst && spos < dpos then
+    for i = len - 1 downto 0 do
+      Array.unsafe_set dst (dpos + i) (Array.unsafe_get src (spos + i))
+    done
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (dpos + i) (Array.unsafe_get src (spos + i))
+    done
+
 let ensure_capacity v n =
   let cap = Array.length v.data in
   if n > cap then begin
@@ -41,7 +58,7 @@ let ensure_capacity v n =
       cap := 2 * !cap
     done;
     let data = Array.make !cap 0 in
-    Array.blit v.data 0 data 0 v.len;
+    copy_ints v.data 0 data 0 v.len;
     v.data <- data
   end
 
@@ -67,7 +84,7 @@ let blit src spos dst dpos len =
   if len < 0 || spos < 0 || spos + len > src.len || dpos < 0 || dpos > dst.len then
     invalid_arg "Vec.blit";
   ensure_capacity dst (dpos + len);
-  Array.blit src.data spos dst.data dpos len;
+  copy_ints src.data spos dst.data dpos len;
   if dpos + len > dst.len then dst.len <- dpos + len
 
 let iter f v =
@@ -80,7 +97,7 @@ let to_list v = Array.to_list (Array.sub v.data 0 v.len)
 let sort_in_place cmp v =
   let sub = Array.sub v.data 0 v.len in
   Array.sort cmp sub;
-  Array.blit sub 0 v.data 0 v.len
+  copy_ints sub 0 v.data 0 v.len
 
 let swap_remove v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.swap_remove";

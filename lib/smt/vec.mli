@@ -51,6 +51,11 @@ val blit : t -> int -> t -> int -> int -> unit
     ([dpos] itself must not: holes are never created).
     @raise Invalid_argument when a range is out of bounds. *)
 
+val copy_ints : int array -> int -> int array -> int -> int -> unit
+(** [Array.blit] for int arrays, without the per-element write barrier
+    [Array.blit] pays when the destination is on the major heap.
+    @raise Invalid_argument when a range is out of bounds. *)
+
 val iter : (int -> unit) -> t -> unit
 val to_list : t -> int list
 val sort_in_place : (int -> int -> int) -> t -> unit

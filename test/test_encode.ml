@@ -453,7 +453,7 @@ let test_slicing_shrinks () =
    looked devices up through per-build name and address indexes: the
    indexes must not change a single assertion.  The fleet networks
    (picked by a seeded draw) exercise iBGP copies and static next hops;
-   the quotient exercises the reduced network's filtered sessions.
+   the quotients exercise the reduced network's filtered sessions.
    All three fleet networks redistribute iBGP-learned routes into OSPF;
    their sizes include that route's forwarding through the iBGP copy. *)
 let test_stats_pinned () =
@@ -463,6 +463,15 @@ let test_stats_pinned () =
   let ft = (Generators.Fattree.make ~pods:4).Generators.Fattree.network in
   check "fattree pods=4" ft default (289, 10668);
   check "fattree pods=4 quotient" ~pins:[ "tor_1_0" ] ft (MS.Options.with_symmetry default) (77, 2333);
+  (* the paper's 405-router scale point: the analysis the quotient
+     rests on (pre-flight, fingerprints, refinement) must not move *)
+  let ft18 = (Generators.Fattree.make ~pods:18).Generators.Fattree.network in
+  let pins = [ "tor_0_0"; "tor_17_8" ] in
+  check "fattree pods=18 quotient" ~pins ft18 (MS.Options.with_symmetry default) (113, 3543);
+  (match Analysis.Symmetry.reduce ~pins ft18 with
+   | Some r ->
+     Alcotest.(check int) "pods=18 collapsed devices" 396 (List.length r.Analysis.Symmetry.red_rep)
+   | None -> Alcotest.fail "pods=18 fabric should reduce");
   let fleet = Array.of_list (Generators.Enterprise.fleet ()) in
   let rng = Random.State.make [| 18 |] in
   List.iter

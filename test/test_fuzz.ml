@@ -151,6 +151,57 @@ let mutate seed net =
   | 1 -> ("rotate-local-prefs", rotate_local_prefs net)
   | _ -> ("drop-link", drop_link (seed / 3) net)
 
+(* Mutations that break the configuration for the linter: the k-th
+   interface applies an undefined ACL (MS-E003), the k-th BGP session
+   to another device of the network names a wrong remote AS
+   (MS-E301). *)
+let dangle_acl k net =
+  let i = ref (-1) in
+  map_devices
+    (fun d ->
+      {
+        d with
+        A.dev_interfaces =
+          List.map
+            (fun (itf : A.interface) ->
+              incr i;
+              if !i = k then { itf with A.if_acl_in = Some "UNDEFINED" } else itf)
+            d.A.dev_interfaces;
+      })
+    net
+
+let misnumber_remote_as k net =
+  let owner = A.address_index net in
+  let i = ref (-1) in
+  map_devices
+    (fun d ->
+      match d.A.dev_bgp with
+      | None -> d
+      | Some b ->
+        let nbrs =
+          List.map
+            (fun (n : A.bgp_neighbor) ->
+              if owner n.A.nbr_ip = None then n
+              else begin
+                incr i;
+                if !i = k then { n with A.nbr_remote_as = n.A.nbr_remote_as + 1 } else n
+              end)
+            b.A.bgp_neighbors
+        in
+        { d with A.dev_bgp = Some { b with A.bgp_neighbors = nbrs } })
+    net
+
+(* Every mutation above, the lint-breaking ones included. *)
+let lint_mutations seed =
+  [
+    ("none", Fun.id);
+    ("flip-rm-action", flip_rm_action seed);
+    ("rotate-local-prefs", rotate_local_prefs);
+    ("drop-link", drop_link seed);
+    ("dangle-acl", dangle_acl (seed mod 8));
+    ("misnumber-remote-as", misnumber_remote_as (seed mod 2));
+  ]
+
 (* ---- the differential property ---- *)
 
 let check_one name seed net ~src ~dest_device ~dest_prefix =
@@ -346,23 +397,27 @@ let fleet_queries (t : G.Enterprise.t) =
   in
   [ (mgmt, inj.G.Enterprise.hijack); (holes, inj.G.Enterprise.deep_drop) ] @ equiv
 
+let fleet = lazy (Array.of_list (G.Enterprise.fleet ()))
+
+(* [count] fleet indices drawn by a seeded shuffle, sorted. *)
+let fleet_sample count =
+  let n = Array.length (Lazy.force fleet) in
+  if count >= n then List.init n Fun.id
+  else begin
+    let rng = Random.State.make [| 21 |] in
+    let order = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- x
+    done;
+    List.sort compare (Array.to_list (Array.sub order 0 count))
+  end
+
 let test_certified_fleet () =
-  let fleet = Array.of_list (G.Enterprise.fleet ()) in
-  let n = Array.length fleet in
-  let picks =
-    if fleet_count >= n then List.init n Fun.id
-    else begin
-      let rng = Random.State.make [| 21 |] in
-      let order = Array.init n Fun.id in
-      for i = n - 1 downto 1 do
-        let j = Random.State.int rng (i + 1) in
-        let x = order.(i) in
-        order.(i) <- order.(j);
-        order.(j) <- x
-      done;
-      List.sort compare (Array.to_list (Array.sub order 0 fleet_count))
-    end
-  in
+  let fleet = Lazy.force fleet in
+  let picks = fleet_sample fleet_count in
   let opts = MS.Options.with_certify MS.Options.default in
   let failures =
     List.concat_map
@@ -391,6 +446,56 @@ let test_certified_fleet () =
     (Printf.sprintf "failed verdicts over %d fleet networks" (List.length picks))
     0 (List.length failures)
 
+(* ---- the lint pre-flight against the full linter ---- *)
+
+(* 20 fleet networks under every mutation, the lint-breaking ones
+   included. *)
+let lint_corpus seed =
+  let fleet = Lazy.force fleet in
+  List.concat_map
+    (fun i ->
+      List.map
+        (fun (m, f) -> (Printf.sprintf "net %d %s" i m, f fleet.(i).G.Enterprise.network))
+        (lint_mutations (seed + i)))
+    (fleet_sample 20)
+
+let render diags = String.concat "\n" (List.map Analysis.Diagnostic.to_string diags)
+
+(* The pre-flight runs only the error-capable families, and must raise
+   exactly the errors of the full linter. *)
+let prop_preflight_matches_run =
+  QCheck.Test.make ~name:"preflight raises exactly the linter's errors" ~count:10
+    (QCheck.make QCheck.Gen.(int_range 0 99999))
+    (fun seed ->
+      let raised = ref 0 in
+      List.iter
+        (fun (what, net) ->
+          let errs = Analysis.Lint.errors (Analysis.Lint.run net) in
+          match Analysis.Lint.preflight net with
+          | () ->
+            if errs <> [] then
+              QCheck.Test.fail_reportf "%s: preflight passed, the linter reports\n%s" what
+                (render errs)
+          | exception Analysis.Lint.Lint_errors l ->
+            incr raised;
+            if l = [] || l <> errs then
+              QCheck.Test.fail_reportf "%s: preflight raised\n%s\nthe linter reports\n%s" what
+                (render l) (render errs))
+        (lint_corpus seed);
+      (* the corpus must exercise the raising side *)
+      !raised > 0)
+
+let test_warning_only_families () =
+  List.iter
+    (fun (what, net) ->
+      List.iter
+        (fun check ->
+          match List.filter Analysis.Diagnostic.is_error (check net) with
+          | [] -> ()
+          | errs -> Alcotest.failf "%s: a warning-only family reported\n%s" what (render errs))
+        Analysis.Lint.warning_only)
+    (lint_corpus 0)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -401,4 +506,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_fault_brute;
         ] );
       ("fleet", [ Alcotest.test_case "certified verdicts match labels" `Slow test_certified_fleet ]);
+      ( "lint",
+        [
+          QCheck_alcotest.to_alcotest prop_preflight_matches_run;
+          Alcotest.test_case "warning-only families emit no error" `Quick
+            test_warning_only_families;
+        ] );
     ]

@@ -42,6 +42,11 @@ let test_term_sort_errors () =
      ignore (T.var "ts_x" Sort.Bool);
      Alcotest.fail "expected sort clash"
    with Invalid_argument _ -> ());
+  (* Int terms take only integral scale factors *)
+  Alcotest.check_raises "fractional scale of an Int term"
+    (Invalid_argument "Term.scale: non-integer scaling of Int term") (fun () ->
+      ignore (T.scale (Rat.of_ints 1 2) x));
+  ignore (T.scale (Rat.of_ints 1 2) (T.var "ts_r" Sort.Real));
   (* the clash is only detected while [x] is live *)
   ignore (Sys.opaque_identity x)
 
@@ -364,6 +369,74 @@ let prop_idl_matches_brute =
       if got <> expected then QCheck.Test.fail_reportf "solver=%b brute=%b" got expected;
       true)
 
+(* Random Int sums over three variables with small integer scales,
+   compared as an atom: whatever [Linexp.classify_leq] makes of it
+   must hold under an assignment exactly when the inequality does.
+   Atoms outside the difference fragment are rejected, not checked. *)
+type isum = Ivar of int | Iconst of int | Iadd of isum * isum | Isub of isum * isum | Iscale of int * isum
+
+let isum_gen =
+  let open QCheck.Gen in
+  let leaf = oneof [ map (fun i -> Ivar i) (int_range 0 2); map (fun n -> Iconst n) (int_range (-6) 6) ] in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            (2, map2 (fun a b -> Iadd (a, b)) (self (depth - 1)) (self (depth - 1)));
+            (2, map2 (fun a b -> Isub (a, b)) (self (depth - 1)) (self (depth - 1)));
+            (1, map2 (fun k a -> Iscale (k, a)) (int_range (-3) 3) (self (depth - 1)));
+          ])
+    3
+
+let isum_vars = Array.init 3 (fun i -> ivar (Printf.sprintf "qlin_%d" i))
+
+let rec isum_term = function
+  | Ivar i -> isum_vars.(i)
+  | Iconst n -> T.int_const n
+  | Iadd (a, b) -> T.add (isum_term a) (isum_term b)
+  | Isub (a, b) -> T.sub (isum_term a) (isum_term b)
+  | Iscale (k, a) -> T.scale (Rat.of_int k) (isum_term a)
+
+let rec isum_eval env = function
+  | Ivar i -> env.(i)
+  | Iconst n -> n
+  | Iadd (a, b) -> isum_eval env a + isum_eval env b
+  | Isub (a, b) -> isum_eval env a - isum_eval env b
+  | Iscale (k, a) -> k * isum_eval env a
+
+let prop_int_atoms_classify =
+  QCheck.Test.make ~name:"int atoms classify to an equivalent constraint" ~count:500
+    (QCheck.make QCheck.Gen.(triple isum_gen isum_gen bool))
+    (fun (a, b, strict) ->
+      let ta = isum_term a and tb = isum_term b in
+      let value env t =
+        match Array.find_index (fun v -> v == t) isum_vars with
+        | Some i -> env.(i)
+        | None -> QCheck.Test.fail_report "difference atom over a foreign term"
+      in
+      let side env = function Some t -> value env t | None -> 0 in
+      match Smt.Linexp.classify_leq ~strict ta tb with
+      | exception Smt.Linexp.Not_difference_logic _ -> true
+      | Smt.Linexp.Lra _ -> QCheck.Test.fail_report "an Int atom classified as rational"
+      | classified ->
+        let rng = Random.State.make [| Hashtbl.hash (a, b, strict) |] in
+        List.for_all
+          (fun _ ->
+            let env = Array.init 3 (fun _ -> Random.State.int rng 9 - 4) in
+            let l = isum_eval env a and r = isum_eval env b in
+            let expected = if strict then l < r else l <= r in
+            let got =
+              match classified with
+              | Smt.Linexp.Trivial t -> t
+              | Smt.Linexp.Idl { x; y; k } -> side env x - side env y <= k
+              | Smt.Linexp.Lra _ -> assert false
+            in
+            got = expected)
+          (List.init 20 Fun.id))
+
 (* Random Boolean formulas: any model returned must evaluate to true. *)
 let term_gen =
   let open QCheck.Gen in
@@ -550,5 +623,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_idl_matches_brute; prop_model_evaluates_true; prop_excluded_middle ] );
+          [
+            prop_idl_matches_brute;
+            prop_int_atoms_classify;
+            prop_model_evaluates_true;
+            prop_excluded_middle;
+          ] );
     ]

@@ -74,6 +74,40 @@ let test_fingerprints_by_role () =
   Alcotest.(check bool) "tor differs from agg" true (fp "tor_0_0" <> fp "agg_0_0");
   Alcotest.(check bool) "agg differs from core" true (fp "agg_0_0" <> fp "core_0")
 
+(* Fingerprint values recorded before the serialization stopped going
+   through Printf: the digest seeds the quotient's classes, so every
+   byte of the serialized sections must stay as it was.  The
+   enterprise devices cover what the fat tree lacks: OSPF,
+   redistribution, iBGP sessions, statics and ACLs. *)
+let test_fingerprints_golden () =
+  let check net n expected =
+    Alcotest.(check string) ("fingerprint " ^ n) expected (S.fingerprint (device net n))
+  in
+  let ft = (G.Fattree.make ~pods:4).G.Fattree.network in
+  check ft "tor_0_0" "e2ee1ed724861b64d5ace1eb855d7171";
+  check ft "agg_0_0" "80458642d6d0f4cda9179463641d2caf";
+  check ft "core_0" "d6ecc1662d60f674484f78966c6ba060";
+  let ent = (G.Enterprise.make ~seed:7 ~routers:8 ~inject:G.Enterprise.no_bugs ()).G.Enterprise.network in
+  check ent "edge1" "2beb83fd89862a3b4b7461b36662c6aa";
+  check ent "rack1" "8899fd5141bf9388c1468c1383cf6556";
+  (* a static route whose next hop and prefix are both new addresses,
+     and an interface whose address lies outside its own prefix (only
+     an AST-built device has one): ids are numbered in the order the
+     old serialization resolved them, the address before the prefix *)
+  let d =
+    Config.Parser.parse_device
+      "hostname x\ninterface e0\n ip address 10.0.0.1/30\n!\ninterface e1\n ip address \
+       10.1.0.1/24\n!\nip route 192.168.5.0/24 172.16.0.9\nip route 10.9.0.0/16 10.0.0.2\n"
+  in
+  Alcotest.(check string) "fingerprint of statics" "cbedb2491f95192e0720830ad3285a71"
+    (S.fingerprint d);
+  let move (i : A.interface) =
+    if i.A.if_name = "e1" then { i with A.if_ip = Some (Net.Ipv4.of_string "172.20.0.5") } else i
+  in
+  Alcotest.(check string) "fingerprint of a stray interface address"
+    "a78239fadae1141826199fe3bc532061"
+    (S.fingerprint { d with A.dev_interfaces = List.map move d.A.dev_interfaces })
+
 (* -- renaming invariance (QCheck) ---------------------------------------------- *)
 
 (* A consistent renaming: an injective device rename [f] applied to the
@@ -401,6 +435,7 @@ let () =
           Alcotest.test_case "pinned destination" `Quick test_partition_pinned;
           Alcotest.test_case "pods=2 all singletons" `Quick test_pods2_all_singletons;
           Alcotest.test_case "fingerprints by role" `Quick test_fingerprints_by_role;
+          Alcotest.test_case "fingerprints golden" `Quick test_fingerprints_golden;
         ] );
       ("renaming", [ QCheck_alcotest.to_alcotest prop_rename_invariant ]);
       ( "diagnostics",
