@@ -52,10 +52,13 @@ lint: build
 # enterprise/fattree configurations, verified with --certify and
 # cross-checked against the concrete simulator, plus the certified
 # audit of the whole 152-network fleet (every verdict replays and
-# matches its injection label).  `dune runtest` runs the same
-# properties with small bounded samples; this raises them.
+# matches its injection label), and the serve daemon's churn
+# differential (random diff sequences, every answer against a cold
+# session).  `dune runtest` runs the same properties with small bounded
+# samples; this raises them.
 fuzz: build
 	MS_FUZZ_COUNT=$${MS_FUZZ_COUNT:-60} MS_FUZZ_FLEET=$${MS_FUZZ_FLEET:-152} dune exec test/test_fuzz.exe
+	MS_FUZZ_COUNT=$${MS_FUZZ_COUNT:-60} dune exec test/test_serve.exe
 
 # Line/branch coverage of the test suite via bisect_ppx.  The library
 # stanzas carry `(instrumentation (backend bisect_ppx))`, which is

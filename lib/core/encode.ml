@@ -207,13 +207,23 @@ let out_map_toward t (sender : A.device) (receiver : string) =
    hash-consed by name across the process, so two live encodings of the
    same network (e.g. with different options) must not share variable
    names.  The terms themselves are held weakly: dropping an encoding
-   and every solver that blasted it lets the GC reclaim its terms. *)
+   and every solver that blasted it lets the GC reclaim its terms.
+
+   A caller-given name-space replaces the counter: inside it every name
+   is a function of the configuration alone, the iBGP copies' included,
+   so rebuilding a network yields the very same hash-consed terms for
+   every device whose slice did not change. *)
 let encoding_counter = ref 0
 
-let rec build_general (net : A.network) (opts : Options.t) ~igp_only ~suffix ~dst_const
-    ~shared_failed : t =
-  incr encoding_counter;
-  let suffix = Printf.sprintf "%s#%d" suffix !encoding_counter in
+let rec build_general (net : A.network) (opts : Options.t) ~igp_only ~suffix ~namespace
+    ~dst_const ~shared_failed : t =
+  let suffix =
+    match namespace with
+    | Some ns -> Printf.sprintf "%s#%s" suffix ns
+    | None ->
+      incr encoding_counter;
+      Printf.sprintf "%s#%d" suffix !encoding_counter
+  in
   let feats = Features.scan net ~slice:opts.Options.slice_unused in
   let pkt = Packet.create opts ~suffix in
   let t =
@@ -295,6 +305,7 @@ let rec build_general (net : A.network) (opts : Options.t) ~igp_only ~suffix ~ds
                   build_general net
                     { opts with Options.max_failures = None }
                     ~igp_only:true ~suffix:(suffix ^ "~" ^ key)
+                    ~namespace
                     ~dst_const:(Some s.s_nbr.A.nbr_ip) ~shared_failed:(Some t.failed_tbl)
                 in
                 let reach = reach_to_ip copy s.s_nbr.A.nbr_ip in
@@ -968,7 +979,7 @@ let project_devices t ds =
   List.sort_uniq compare
     (List.filter (fun d -> List.mem d present) (List.map (representative t) ds))
 
-let build ?(suffix = "") ?(pins = []) net opts =
+let build ?(suffix = "") ?namespace ?(pins = []) net opts =
   if opts.Options.preflight_lint then Analysis.Lint.preflight net;
   (* Symmetry quotient: substitute the reduced network when the
      analysis finds interchangeable devices.  Disabled under
@@ -984,7 +995,10 @@ let build ?(suffix = "") ?(pins = []) net opts =
       | None -> (net, [], [])
     else (net, [], [])
   in
-  let t = build_general net opts ~igp_only:false ~suffix ~dst_const:None ~shared_failed:None in
+  let t =
+    build_general net opts ~igp_only:false ~suffix ~namespace ~dst_const:None
+      ~shared_failed:None
+  in
   t.sym_classes <- classes;
   t.sym_rep <- rep;
   t

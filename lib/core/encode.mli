@@ -13,10 +13,20 @@
 
 type t
 
-val build : ?suffix:string -> ?pins:string list -> Config.Ast.network -> Options.t -> t
+val build :
+  ?suffix:string -> ?namespace:string -> ?pins:string list -> Config.Ast.network -> Options.t -> t
 (** [suffix] distinguishes variable names when several encodings of the
     same network coexist in one formula (equivalence and
     fault-invariance checks).
+
+    Without [namespace], every build draws a fresh process-wide
+    name-space, so no two encodings share a variable.  With it, variable
+    names (the iBGP copies' included) are a function of [namespace],
+    [suffix] and the configuration alone: rebuilding a network, or a
+    variant of it, in the same name-space yields physically equal
+    hash-consed terms for every device slice whose constraints did not
+    change — what {!Verify.Session.rebase} keys on.  A name-space must
+    only ever be used with one [opts] (sorts depend on the options).
 
     When [opts.preflight_lint] is set (the default), the {!Analysis}
     linter runs first and Error-level findings abort the build with

@@ -3,13 +3,22 @@
     Unix-domain socket) with {!Minesweeper.Verify.Report}-based
     responses, every one carrying a ["schema"] field.
 
+    The daemon keeps {e one} incremental support-tracking solver and
+    moves it from state to state: every encoding is built in the
+    daemon's own {!Minesweeper.Encode.build} name-space, and
+    {!Minesweeper.Verify.Session.rebase} re-asserts only the device
+    slices whose terms changed, so learnt clauses and the CNF cache
+    carry across diffs.  A fresh solver replaces it when [rebase]
+    refuses (the unscoped assertions changed) or once it carries more
+    than twice the SAT variables it started with.
+
     Two caches make the daemon more than a socket wrapper:
 
-    - an {e encoding cache}, keyed by the concrete network digest
-      (per-device {!Analysis.Symmetry.digest} plus the topology), so
-      re-loading a previously-seen configuration — the A→B→A flap of a
-      rolled-back change — reuses the built encoding and its
-      incremental solver session, learnt clauses included;
+    - an {e encoding cache} (FIFO, 8 entries), keyed by the concrete
+      network digest (per-device {!Analysis.Symmetry.digest} plus the
+      topology), so re-loading a previously-seen configuration — the
+      A→B→A flap of a rolled-back change — reuses the built encoding
+      and its view of the daemon's solver;
 
     - a {e verdict cache}, keyed by {!Minesweeper.Verify.Protocol.spec_key}
       and migrated across config diffs by {e core-disjoint replay}: a

@@ -191,16 +191,27 @@ let test_certified_fault_invariant () =
 
 (* -- hybrid race and method stamping ------------------------------------------- *)
 
-let test_hybrid_graph_win () =
+(* The graph path alone decides the pods=2 fabric at k=1, with a cut of
+   one link. *)
+let test_graph_decides () =
   let net, _, dest = fattree 2 in
-  let sources = devices net in
-  let h = hybrid net ~k:1 ~sources dest in
-  Alcotest.(check string) "verdict" "violated" (verdict h);
-  Alcotest.(check string) "method" "graph" (meth h);
-  match h.MS.Verify.Report.verdict with
+  let g = F.report net ~k:1 ~sources:(devices net) dest in
+  Alcotest.(check string) "verdict" "violated" (verdict g);
+  Alcotest.(check string) "method" "graph" (meth g);
+  match g.MS.Verify.Report.verdict with
   | MS.Verify.Report.Violated cx ->
     Alcotest.(check int) "a single failed link" 1 (List.length cx.MS.Counterexample.failures)
   | _ -> Alcotest.fail "expected a violation"
+
+(* Which racer answers first is up to the scheduler; the verdict is
+   not.  A decided graph path means the winner is stamped [graph] or
+   [smt], never [fallback]. *)
+let test_hybrid_matches_smt () =
+  let net, _, dest = fattree 2 in
+  let sources = devices net in
+  let h = hybrid net ~k:1 ~sources dest in
+  Alcotest.(check string) "hybrid vs smt" (verdict (smt net ~k:1 ~sources dest)) (verdict h);
+  Alcotest.(check bool) "a decided race" true (List.mem (meth h) [ "graph"; "smt" ])
 
 let test_hybrid_pods6 () =
   (* the fabric the SMT side cannot answer quickly: the race must come
@@ -243,7 +254,9 @@ let () =
         ] );
       ( "hybrid",
         [
-          Alcotest.test_case "graph wins the race" `Quick test_hybrid_graph_win;
+          Alcotest.test_case "graph path decides a one-link cut" `Quick test_graph_decides;
+          Alcotest.test_case "verdict matches SMT whichever racer wins" `Quick
+            test_hybrid_matches_smt;
           Alcotest.test_case "pods=6 both thresholds" `Quick test_hybrid_pods6;
         ] );
     ]
