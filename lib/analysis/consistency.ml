@@ -20,10 +20,12 @@ module D = Diagnostic
 module P = Net.Prefix
 module Ip = Net.Ipv4
 
-(* Address lookups shared by the checks, built once per network:
-   [owner] is [A.device_of_ip net] ({!A.address_index}); [owns_ip dev ip]
-   tests [dev]'s own interface addresses; [has_session_to dev peer] holds
-   when [dev] has a neighbor statement at one of [peer]'s addresses. *)
+(* Address lookups shared by the checks, built once per network over
+   one address table ({!A.address_owners}): [owner] is
+   [A.device_of_ip net]; [owns_ip dev ip] tests [dev]'s own interface
+   addresses; [has_session_to dev peer] holds when [dev] has a neighbor
+   statement at one of [peer]'s addresses.  Devices are compared by
+   name, sessions keyed by the pair of name positions. *)
 type index = {
   owner : Ip.t -> A.device option;
   owns_ip : A.device -> Ip.t -> bool;
@@ -31,33 +33,34 @@ type index = {
 }
 
 let index (net : A.network) =
-  let n = A.interface_count net in
-  let owners = Hashtbl.create n in
-  List.iter
-    (fun (d : A.device) ->
-      List.iter
-        (fun (i : A.interface) ->
-          Option.iter (fun ip -> Hashtbl.add owners ip d.A.dev_name) i.A.if_ip)
-        d.A.dev_interfaces)
+  let owners = A.address_owners net in
+  let position = Hashtbl.create 64 in
+  List.iteri
+    (fun i (d : A.device) ->
+      if not (Hashtbl.mem position d.A.dev_name) then Hashtbl.add position d.A.dev_name i)
     net.A.net_devices;
-  let sessions = Hashtbl.create n in
+  let n = Hashtbl.length position in
+  let pos (d : A.device) = Hashtbl.find position d.A.dev_name in
+  let sessions = A.Int_tbl.create (A.interface_count net) in
   List.iter
     (fun (d : A.device) ->
       Option.iter
         (fun (bgp : A.bgp_config) ->
+          let row = pos d * n in
           List.iter
-            (fun (n : A.bgp_neighbor) ->
+            (fun (nb : A.bgp_neighbor) ->
               List.iter
-                (fun peer -> Hashtbl.replace sessions (d.A.dev_name, peer) ())
-                (Hashtbl.find_all owners n.A.nbr_ip))
+                (fun peer -> A.Int_tbl.add sessions (row + pos peer) ())
+                (A.Int_tbl.find_all owners nb.A.nbr_ip))
             bgp.A.bgp_neighbors)
         d.A.dev_bgp)
     net.A.net_devices;
   {
-    owner = A.address_index net;
-    owns_ip = (fun dev ip -> List.mem dev.A.dev_name (Hashtbl.find_all owners ip));
-    has_session_to =
-      (fun dev peer -> Hashtbl.mem sessions (dev.A.dev_name, peer.A.dev_name));
+    owner = A.Int_tbl.find_opt owners;
+    owns_ip =
+      (fun dev ip ->
+        List.exists (fun (d : A.device) -> d.A.dev_name = dev.A.dev_name) (A.Int_tbl.find_all owners ip));
+    has_session_to = (fun dev peer -> A.Int_tbl.mem sessions ((pos dev * n) + pos peer));
   }
 
 let check_neighbors idx (dev : A.device) =

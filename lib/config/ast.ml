@@ -159,21 +159,32 @@ let device_index net =
 let interface_count net =
   List.fold_left (fun n d -> n + List.length d.dev_interfaces) 0 net.net_devices
 
-(** [address_index net] is [device_of_ip net] after one pass over the
-    network: the first device (in [net_devices] order) owning each
-    interface address. *)
-let address_index net =
-  let tbl = Hashtbl.create (interface_count net) in
+(** Hash tables keyed by an integer (an IPv4 address, a pair of device
+    positions), hashed as the integer itself. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(** [address_owners net] maps every interface address to the devices
+    owning it: [Int_tbl.find_all] lists them in [net_devices] order, so
+    [Int_tbl.find_opt] gives the first. *)
+let address_owners net =
+  let tbl = Int_tbl.create (interface_count net) in
   List.iter
     (fun d ->
       List.iter
-        (fun i ->
-          match i.if_ip with
-          | Some a when not (Hashtbl.mem tbl a) -> Hashtbl.add tbl a d
-          | Some _ | None -> ())
-        d.dev_interfaces)
-    net.net_devices;
-  Hashtbl.find_opt tbl
+        (fun i -> Option.iter (fun a -> Int_tbl.add tbl a d) i.if_ip)
+        (List.rev d.dev_interfaces))
+    (List.rev net.net_devices);
+  tbl
+
+(** [address_index net] is [device_of_ip net] after one pass over the
+    network: the first device (in [net_devices] order) owning each
+    interface address. *)
+let address_index net = Int_tbl.find_opt (address_owners net)
 
 (** Interfaces participating in OSPF on this device. *)
 let ospf_interfaces dev =

@@ -216,10 +216,11 @@ let update_neighbor bgp ip f =
 type net_b = {
   mutable devices : Ast.device list;
   mutable links : (string * string * string * string) list;
+  mutable explicit : bool;  (* a [topology explicit] line: no inferred links *)
 }
 
 let parse_lines text ~(on_unknown_hostname : [ `Implicit | `Error ]) =
-  let net = { devices = []; links = [] } in
+  let net = { devices = []; links = []; explicit = false } in
   let device = ref None in
   let ctx = ref Top in
   let get_device line =
@@ -256,6 +257,7 @@ let parse_lines text ~(on_unknown_hostname : [ `Implicit | `Error ]) =
       flush_device ();
       device := Some (new_device_b name)
     | _, [ "link"; d1; i1; d2; i2 ] -> net.links <- (d1, i1, d2, i2) :: net.links
+    | _, [ "topology"; "explicit" ] -> net.explicit <- true
     | _, "interface" :: [ name ] ->
       let b = b () in
       flush_context b !ctx;
@@ -562,5 +564,22 @@ let parse_network text =
         { Net.Topology.a = { device = d1; interface = i1 }; b = { device = d2; interface = i2 } })
       net.links
   in
-  let topo = Net.Topology.of_links (inferred_links net.devices @ explicit) in
+  let inferred = inferred_links net.devices in
+  (* Under [topology explicit] the links are exactly the [link] lines;
+     those inference would also find keep the place and orientation it
+     gives them, so a file declaring every link inference finds parses
+     to the topology, in order, that it gives without the line. *)
+  let inferred =
+    if not net.explicit then inferred
+    else begin
+      let declared = Hashtbl.create 64 in
+      List.iter
+        (fun (l : Net.Topology.link) ->
+          Hashtbl.replace declared (l.a, l.b) ();
+          Hashtbl.replace declared (l.b, l.a) ())
+        explicit;
+      List.filter (fun (l : Net.Topology.link) -> Hashtbl.mem declared (l.a, l.b)) inferred
+    end
+  in
+  let topo = Net.Topology.of_links (inferred @ explicit) in
   { Ast.net_devices = net.devices; net_topology = with_devices topo net.devices }

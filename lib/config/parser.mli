@@ -7,7 +7,9 @@
 
     A multi-device file contains several [hostname] stanzas; links
     between devices are inferred from interfaces sharing a subnet, or
-    declared explicitly with [link <dev1> <if1> <dev2> <if2>] lines. *)
+    declared explicitly with [link <dev1> <if1> <dev2> <if2>] lines.  A
+    [topology explicit] line (what {!Printer} writes) turns inference
+    off: the links are then exactly the [link] lines. *)
 
 type error = {
   line : int;  (** 1-based; 0 when the error is not tied to a line *)
@@ -28,7 +30,10 @@ val parse_device : string -> Ast.device
 
 val parse_network : string -> Ast.network
 (** Parse a multi-device configuration file; topology from explicit
-    [link] lines plus subnet inference. *)
+    [link] lines plus subnet inference, or from the [link] lines alone
+    under [topology explicit].  The links inference finds come first, in
+    the order and orientation of {!infer_topology}; the other [link]
+    lines follow, last line first. *)
 
 val infer_topology : Ast.device list -> Net.Topology.t
 (** Link two devices whenever they own distinct addresses inside the

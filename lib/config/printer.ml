@@ -116,7 +116,8 @@ let device_to_string (d : Ast.device) =
   add b "!\n";
   Buffer.contents b
 
-let network_to_string (n : Ast.network) =
+(* Devices and links, without the [topology explicit] header. *)
+let network_body (n : Ast.network) =
   let b = Buffer.create 4096 in
   List.iter (fun d -> add b (device_to_string d)) n.net_devices;
   (* Emit explicit links so the round trip does not depend on inference;
@@ -132,6 +133,10 @@ let network_to_string (n : Ast.network) =
     (List.sort compare (List.map canonical (Net.Topology.links n.net_topology)));
   Buffer.contents b
 
+(* The header makes the parser take the links as written: a link the
+   topology lacks between two interfaces of one subnet stays absent. *)
+let network_to_string n = "topology explicit\n" ^ network_body n
+
 let count_config_lines text =
   String.split_on_char '\n' text
   |> List.filter (fun l ->
@@ -140,4 +145,4 @@ let count_config_lines text =
   |> List.length
 
 let config_lines d = count_config_lines (device_to_string d)
-let network_config_lines n = count_config_lines (network_to_string n)
+let network_config_lines n = count_config_lines (network_body n)

@@ -1,7 +1,10 @@
 (** Render configurations back to the surface syntax.
 
-    [parse (print d)] yields a device equal to [d]; the printed form is
-    also used to measure "lines of configuration" in the benchmarks. *)
+    [parse (print d)] yields a device equal to [d], and a printed
+    network parses back with the same devices and the same link set: it
+    starts with a [topology explicit] line, so the parser infers no link
+    the topology lacks.  The printed form is also used to measure "lines
+    of configuration" in the benchmarks (the header line not counted). *)
 
 val device_to_string : Ast.device -> string
 val network_to_string : Ast.network -> string

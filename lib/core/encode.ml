@@ -14,6 +14,16 @@ type hop_spec =
 
 type candidate = { rec_ : Sym_record.t; hop : hop_spec; proto : A.protocol }
 
+(* The passes that emit a device's assertions, in emission order.  A
+   rebuild copies each pass's output for every device it does not
+   re-encode. *)
+type pass = Candidates | Selection | Forwarding | Reachability
+
+let pass_index = function Candidates -> 0 | Selection -> 1 | Forwarding -> 2 | Reachability -> 3
+
+(* Everything the encoding holds for one device.  Once [build_general]
+   has run every pass over it, nothing mutates the record again, so a
+   rebuild that keeps the device shares the record itself. *)
 type device_enc = {
   dev : A.device;
   mutable cand_bgp : candidate list;
@@ -22,6 +32,14 @@ type device_enc = {
   best_bgp : Sym_record.t option;
   best_ospf : Sym_record.t option;
   best_overall : Sym_record.t;
+  mutable env : (string * Sym_record.t) list;  (* external peer -> raw announcement *)
+  mutable import_ext : (string * Sym_record.t) list;  (* external peer -> after import *)
+  mutable import_int : (string * Sym_record.t) list;  (* internal peer -> after import *)
+  mutable export_ext : (string * Sym_record.t) list;  (* external peer -> as exported *)
+  mutable fwd : (Nexthop.t * (T.t * T.t)) list;  (* hop -> (controlfwd, datafwd) *)
+  emitted : (string option * T.t) list array;
+      (* per pass, the assertions it emitted for this device, newest
+         first *)
 }
 
 type t = {
@@ -35,6 +53,10 @@ type t = {
   pkt : Packet.t;
   suffix : string;
   igp_only : bool;
+  (* how [build] was called, for [rebuild] *)
+  base_suffix : string;
+  namespace : string option;
+  pins : string list;
   (* assertions carry their provenance: [Some d] for constraints
      generated while encoding device [d]'s configuration, [None] for
      shared structure (packet well-formedness, the failure-count
@@ -43,15 +65,15 @@ type t = {
      verdict support off the final-conflict core; see [scope]. *)
   mutable asserts : (string option * T.t) list;
   mutable scope : string option;
+  mutable unscoped : (string option * T.t) list;
+      (* [asserts] once the network-wide assertions are emitted, before
+         any iBGP copy or device pass *)
+  mutable kept : string -> bool;
+      (* devices whose record and assertions were taken over from the
+         encoding this one was rebuilt from; none for a plain build *)
   dev_enc : (string, device_enc) Hashtbl.t;
-  cf : (string * Nexthop.t, T.t) Hashtbl.t;
-  df : (string * Nexthop.t, T.t) Hashtbl.t;
   failed_tbl : (string * string, T.t) Hashtbl.t;
   ext_peers : (string, (string * Ipv4.t) list) Hashtbl.t;
-  env_tbl : (string * string, Sym_record.t) Hashtbl.t;
-  import_ext_tbl : (string * string, Sym_record.t) Hashtbl.t;
-  import_int_tbl : (string * string, Sym_record.t) Hashtbl.t;
-  export_ext_tbl : (string * string, Sym_record.t) Hashtbl.t;
   copies : (string, t * (string, T.t) Hashtbl.t) Hashtbl.t;
   (* symmetry-quotient bookkeeping, filled by [build] when
      [opts.symmetry] produced a reduction: representative -> full
@@ -67,6 +89,7 @@ let packet t = t.pkt
 let assertions t = List.rev_map snd t.asserts
 let tagged_assertions t = List.rev t.asserts
 let devices t = List.map (fun (d : A.device) -> d.A.dev_name) t.net.A.net_devices
+let encoded t = List.filter (fun d -> not (t.kept d)) (devices t)
 let emit t term = t.asserts <- (t.scope, term) :: t.asserts
 
 (* Run [f] with assertion provenance attributed to device [d]. *)
@@ -76,6 +99,20 @@ let in_scope t d f =
   let r = f () in
   t.scope <- saved;
   r
+
+(* Pass [pass] over device [d]: run [f] under [d]'s scope and record
+   what it emitted, or, for a device kept from the previous encoding,
+   emit that encoding's output of the pass again. *)
+let run_pass t pass d f =
+  let enc = Hashtbl.find t.dev_enc d in
+  let i = pass_index pass in
+  if t.kept d then t.asserts <- enc.emitted.(i) @ t.asserts
+  else begin
+    let before = t.asserts in
+    in_scope t d f;
+    let rec since = function l when l == before -> [] | x :: rest -> x :: since rest | [] -> [] in
+    enc.emitted.(i) <- since t.asserts
+  end
 
 let canonical a b = if a <= b then (a, b) else (b, a)
 
@@ -89,15 +126,13 @@ let best_bgp t d = (Hashtbl.find t.dev_enc d).best_bgp
 let best_ospf t d = (Hashtbl.find t.dev_enc d).best_ospf
 
 let external_peers t d = match Hashtbl.find_opt t.ext_peers d with Some l -> l | None -> []
-let env_record t d p = Hashtbl.find t.env_tbl (d, p)
-let import_from_external t d p = Hashtbl.find t.import_ext_tbl (d, p)
+let env_record t d p = List.assoc p (Hashtbl.find t.dev_enc d).env
+let import_from_external t d p = List.assoc p (Hashtbl.find t.dev_enc d).import_ext
 
 let internal_imports t d =
-  Hashtbl.fold
-    (fun (dev, peer) r acc -> if dev = d then (peer, r) :: acc else acc)
-    t.import_int_tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-let export_to_external t d p = Hashtbl.find t.export_ext_tbl (d, p)
+  List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.find t.dev_enc d).import_int
+
+let export_to_external t d p = List.assoc p (Hashtbl.find t.dev_enc d).export_ext
 
 let internal_neighbors t d =
   List.sort_uniq compare
@@ -127,8 +162,13 @@ let hops t d =
   Nexthop.To_deliver :: Nexthop.To_drop
   :: List.sort_uniq Nexthop.compare (ints @ ext @ static_ext)
 
-let controlfwd t d h = match Hashtbl.find_opt t.cf (d, h) with Some v -> v | None -> T.fls
-let datafwd t d h = match Hashtbl.find_opt t.df (d, h) with Some v -> v | None -> T.fls
+let fwd_vars t d h =
+  match Hashtbl.find_opt t.dev_enc d with
+  | Some enc -> List.assoc_opt h enc.fwd
+  | None -> None
+
+let controlfwd t d h = match fwd_vars t d h with Some (cf, _) -> cf | None -> T.fls
+let datafwd t d h = match fwd_vars t d h with Some (_, df) -> df | None -> T.fls
 
 (* -- record construction helpers --------------------------------------------------- *)
 
@@ -215,8 +255,12 @@ let out_map_toward t (sender : A.device) (receiver : string) =
    every device whose slice did not change. *)
 let encoding_counter = ref 0
 
-let rec build_general (net : A.network) (opts : Options.t) ~igp_only ~suffix ~namespace
-    ~dst_const ~shared_failed : t =
+(* [prev]: the encoding to take every [kept] device over from (see
+   [rebuild]).  The device passes below either encode a device or copy
+   it, so a rebuild and a build share this one code path. *)
+let rec build_general (net : A.network) (opts : Options.t) ~igp_only ~suffix ~namespace ~pins
+    ~dst_const ~shared_failed ~prev : t =
+  let base_suffix = suffix in
   let suffix =
     match namespace with
     | Some ns -> Printf.sprintf "%s#%s" suffix ns
@@ -236,17 +280,16 @@ let rec build_general (net : A.network) (opts : Options.t) ~igp_only ~suffix ~na
       pkt;
       suffix;
       igp_only;
+      base_suffix;
+      namespace;
+      pins;
       asserts = [];
       scope = None;
+      unscoped = [];
+      kept = (fun _ -> false);
       dev_enc = Hashtbl.create 64;
-      cf = Hashtbl.create 256;
-      df = Hashtbl.create 256;
       failed_tbl = (match shared_failed with Some tbl -> tbl | None -> Hashtbl.create 64);
       ext_peers = Hashtbl.create 16;
-      env_tbl = Hashtbl.create 16;
-      import_ext_tbl = Hashtbl.create 16;
-      import_int_tbl = Hashtbl.create 16;
-      export_ext_tbl = Hashtbl.create 16;
       copies = Hashtbl.create 4;
       sym_classes = [];
       sym_rep = [];
@@ -291,6 +334,17 @@ let rec build_general (net : A.network) (opts : Options.t) ~igp_only ~suffix ~na
          net.A.net_devices;
      if !vars <> [] then emit t (T.at_most k !vars)
    | (Some _ | None), _ -> ());
+  t.unscoped <- t.asserts;
+  (* the previous encoding's devices are reusable only under the same
+     network-wide assertions *)
+  let prev =
+    match prev with
+    | Some (p, kept)
+      when List.equal (fun (_, a) (_, b) -> a == b) t.unscoped p.unscoped ->
+      t.kept <- kept;
+      Some p
+    | Some _ | None -> None
+  in
   (* iBGP copies (§4): one IGP-only encoding per distinct peering address *)
   if (not igp_only) && t.feats.Features.any_ibgp then
     List.iter
@@ -301,12 +355,17 @@ let rec build_general (net : A.network) (opts : Options.t) ~igp_only ~suffix ~na
             | `Internal (_, true) ->
               let key = Ipv4.to_string s.s_nbr.A.nbr_ip in
               if not (Hashtbl.mem t.copies key) then begin
+                let prev_copy =
+                  Option.bind prev (fun p ->
+                      Option.map (fun (c, _) -> (c, t.kept)) (Hashtbl.find_opt p.copies key))
+                in
                 let copy =
                   build_general net
                     { opts with Options.max_failures = None }
                     ~igp_only:true ~suffix:(suffix ^ "~" ^ key)
-                    ~namespace
+                    ~namespace ~pins
                     ~dst_const:(Some s.s_nbr.A.nbr_ip) ~shared_failed:(Some t.failed_tbl)
+                    ~prev:prev_copy
                 in
                 let reach = reach_to_ip copy s.s_nbr.A.nbr_ip in
                 t.asserts <- copy.asserts @ t.asserts;
@@ -318,36 +377,43 @@ let rec build_general (net : A.network) (opts : Options.t) ~igp_only ~suffix ~na
   (* best records *)
   List.iter
     (fun (dev : A.device) ->
-      let name field = Printf.sprintf "%s%s.%s" dev.A.dev_name suffix field in
+      let d = dev.A.dev_name in
+      let name field = Printf.sprintf "%s%s.%s" d suffix field in
       let enc =
-        {
-          dev;
-          cand_bgp = [];
-          cand_ospf = [];
-          cand_direct = [];
-          best_bgp =
-            (if dev.A.dev_bgp <> None && not igp_only then
-               Some (Sym_record.fresh_best opts t.feats ~name:(name "bestBGP"))
-             else None);
-          best_ospf =
-            (if dev.A.dev_ospf <> None then
-               Some (Sym_record.fresh_best opts t.feats ~name:(name "bestOSPF"))
-             else None);
-          best_overall = Sym_record.fresh_best opts t.feats ~name:(name "best");
-        }
+        match prev with
+        | Some p when t.kept d -> Hashtbl.find p.dev_enc d
+        | Some _ | None ->
+          {
+            dev;
+            cand_bgp = [];
+            cand_ospf = [];
+            cand_direct = [];
+            best_bgp =
+              (if dev.A.dev_bgp <> None && not igp_only then
+                 Some (Sym_record.fresh_best opts t.feats ~name:(name "bestBGP"))
+               else None);
+            best_ospf =
+              (if dev.A.dev_ospf <> None then
+                 Some (Sym_record.fresh_best opts t.feats ~name:(name "bestOSPF"))
+               else None);
+            best_overall = Sym_record.fresh_best opts t.feats ~name:(name "best");
+            env = [];
+            import_ext = [];
+            import_int = [];
+            export_ext = [];
+            fwd = [];
+            emitted = Array.make 4 [];
+          }
       in
-      Hashtbl.replace t.dev_enc dev.A.dev_name enc)
+      Hashtbl.replace t.dev_enc d enc)
     net.A.net_devices;
-  List.iter
-    (fun (dev : A.device) ->
-      in_scope t dev.A.dev_name (fun () -> build_device_candidates t dev))
-    net.A.net_devices;
-  List.iter
-    (fun (dev : A.device) -> in_scope t dev.A.dev_name (fun () -> constrain_device t dev))
-    net.A.net_devices;
-  List.iter
-    (fun (dev : A.device) -> in_scope t dev.A.dev_name (fun () -> build_forwarding t dev))
-    net.A.net_devices;
+  let each_device pass f =
+    List.iter (fun (dev : A.device) -> run_pass t pass dev.A.dev_name (fun () -> f t dev))
+      net.A.net_devices
+  in
+  each_device Candidates build_device_candidates;
+  each_device Selection constrain_device;
+  each_device Forwarding build_forwarding;
   t
 
 (* Reachability toward a concrete address, used for iBGP session
@@ -375,7 +441,7 @@ and reach_to_ip t ip =
     (fun (dev : A.device) ->
       let d = dev.A.dev_name in
       let v = Hashtbl.find tbl d in
-      in_scope t d (fun () ->
+      run_pass t Reachability d (fun () ->
           if owner dev then emit t (T.iff v T.tru)
           else begin
             let base = if attached dev then [ datafwd t d Nexthop.To_deliver ] else [] in
@@ -618,7 +684,8 @@ and bgp_session_candidate t s =
               T.leq env.Sym_record.med (T.int_const 65535);
               T.eq env.Sym_record.lp (T.int_const Sem.default_lp);
             ]));
-    Hashtbl.replace t.env_tbl (d, peer) env;
+    let enc = Hashtbl.find t.dev_enc d in
+    enc.env <- (peer, env) :: List.remove_assoc peer enc.env;
     let pre =
       {
         env with
@@ -631,7 +698,7 @@ and bgp_session_candidate t s =
       apply_import t dev ~rm:s.s_nbr.A.nbr_rm_in ~src:pre ~name:(nm "bgp.in.%s" peer)
         ~ad:(Sem.bgp_ad ~internal:false) ~bgp_internal:false
     in
-    Hashtbl.replace t.import_ext_tbl (d, peer) imported;
+    enc.import_ext <- (peer, imported) :: List.remove_assoc peer enc.import_ext;
     Some { rec_ = imported; hop = Fixed (Nexthop.To_external peer); proto = A.Pbgp }
   | `Internal (peer_name, is_ibgp) ->
     (match (t.device_named peer_name, Hashtbl.find_opt t.dev_enc peer_name) with
@@ -669,7 +736,8 @@ and bgp_session_candidate t s =
               ~name:(nm "bgp.in.%s" peer_name)
               ~ad:(Sem.bgp_ad ~internal:is_ibgp) ~bgp_internal:is_ibgp
           in
-          Hashtbl.replace t.import_int_tbl (d, peer_name) imported;
+          let enc = Hashtbl.find t.dev_enc d in
+          enc.import_int <- (peer_name, imported) :: List.remove_assoc peer_name enc.import_int;
           let hop =
             if is_ibgp then Via_copy (Ipv4.to_string s.s_nbr.A.nbr_ip)
             else Fixed (Nexthop.To_device peer_name)
@@ -793,7 +861,7 @@ and constrain_device t (dev : A.device) =
                 ~is_ibgp:false
                 ~name:(Printf.sprintf "%s%s.bgp.out.%s" dev.A.dev_name t.suffix peer)
             in
-            Hashtbl.replace t.export_ext_tbl (dev.A.dev_name, peer) exported
+            enc.export_ext <- (peer, exported) :: List.remove_assoc peer enc.export_ext
           | `Internal _ -> ())
         (bgp_sessions t dev)
     | None -> ()
@@ -910,7 +978,6 @@ and build_forwarding t (dev : A.device) =
         T.var (Printf.sprintf "controlfwd%s.%s.%s" t.suffix d (Nexthop.to_string h)) Smt.Sort.Bool
       in
       emit t (T.iff cf_var cf_term);
-      Hashtbl.replace t.cf (d, h) cf_var;
       (* data plane: conjoin ACLs *)
       let acl =
         match h with
@@ -968,7 +1035,7 @@ and build_forwarding t (dev : A.device) =
           v
         end
       in
-      Hashtbl.replace t.df (d, h) df)
+      enc.fwd <- (h, (cf_var, df)) :: List.remove_assoc h enc.fwd)
     (hops t d)
 
 let sym_classes t = t.sym_classes
@@ -979,8 +1046,103 @@ let project_devices t ds =
   List.sort_uniq compare
     (List.filter (fun d -> List.mem d present) (List.map (representative t) ds))
 
-let build ?(suffix = "") ?namespace ?(pins = []) net opts =
-  if opts.Options.preflight_lint then Analysis.Lint.preflight net;
+(* -- what a configuration change can touch ------------------------------------ *)
+
+(* The internal same-ASN sessions with their literal neighbor
+   addresses: the iBGP copies are keyed on these. *)
+let ibgp_signature (net : A.network) =
+  let owner = A.address_index net in
+  List.concat_map
+    (fun (d : A.device) ->
+      match d.A.dev_bgp with
+      | None -> []
+      | Some bgp ->
+        List.filter_map
+          (fun (n : A.bgp_neighbor) ->
+            match owner n.A.nbr_ip with
+            | Some d2 when d2.A.dev_name <> d.A.dev_name -> (
+              match d2.A.dev_bgp with
+              | Some b2 when b2.A.bgp_asn = bgp.A.bgp_asn ->
+                Some (d.A.dev_name, d2.A.dev_name, n.A.nbr_ip)
+              | Some _ | None -> None)
+            | Some _ | None -> None)
+          bgp.A.bgp_neighbors)
+    net.A.net_devices
+  |> List.sort compare
+
+(* A device's slice is a function of the name-space, the options, the
+   feature scan, the topology, its own configuration, its topology
+   neighbors' configurations (OSPF adjacencies, the peer's inbound ACL
+   on a forwarding edge) and the configurations of the devices owning
+   the addresses it references (BGP sessions, static next hops).  So
+   once the network-wide inputs agree, a change can reach only the
+   changed devices, their neighbors, the devices referencing an address
+   a changed device owns before or after, and the devices owning such an
+   address (an address held twice resolves to its first owner, which a
+   changed device can displace). *)
+let affected opts ~old_net (net : A.network) =
+  let names (n : A.network) = List.map (fun (d : A.device) -> d.A.dev_name) n.A.net_devices in
+  let topo (n : A.network) =
+    (Net.Topology.devices n.A.net_topology, Net.Topology.links n.A.net_topology)
+  in
+  let feats n = Features.scan n ~slice:opts.Options.slice_unused in
+  if
+    names old_net <> names net
+    || topo old_net <> topo net
+    || feats old_net <> feats net
+    || ibgp_signature old_net <> ibgp_signature net
+  then None
+  else begin
+    let changed =
+      List.filter_map
+        (fun ((d : A.device), d') -> if d = d' then None else Some d.A.dev_name)
+        (List.combine old_net.A.net_devices net.A.net_devices)
+    in
+    let changed_tbl = Hashtbl.create 8 in
+    List.iter (fun d -> Hashtbl.replace changed_tbl d ()) changed;
+    let is_changed = Hashtbl.mem changed_tbl in
+    let owners = [ A.address_index old_net; A.address_index net ] in
+    let owner_names ip =
+      List.filter_map (fun owner -> Option.map (fun (d : A.device) -> d.A.dev_name) (owner ip)) owners
+    in
+    let owned_by_changed ip = List.exists is_changed (owner_names ip) in
+    let refs_changed (d : A.device) =
+      (match d.A.dev_bgp with
+       | None -> false
+       | Some bgp ->
+         List.exists (fun (n : A.bgp_neighbor) -> owned_by_changed n.A.nbr_ip) bgp.A.bgp_neighbors)
+      || List.exists
+           (fun (s : A.static_route) ->
+             match s.A.st_next_hop with Some ip -> owned_by_changed ip | None -> false)
+           d.A.dev_statics
+    in
+    let both = old_net.A.net_devices @ net.A.net_devices in
+    let neighbors =
+      List.concat_map
+        (fun c -> List.map (fun (_, peer, _) -> peer) (Net.Topology.neighbors net.A.net_topology c))
+        changed
+    in
+    let address_owners =
+      List.concat_map
+        (fun (d : A.device) ->
+          if not (is_changed d.A.dev_name) then []
+          else
+            List.concat_map
+              (fun (i : A.interface) -> match i.A.if_ip with Some ip -> owner_names ip | None -> [])
+              d.A.dev_interfaces)
+        both
+    in
+    let referrers =
+      List.filter_map (fun (d : A.device) -> if refs_changed d then Some d.A.dev_name else None) both
+    in
+    Some
+      ( List.sort compare changed,
+        List.sort_uniq compare (changed @ neighbors @ address_owners @ referrers) )
+  end
+
+(* A full encoding of [net], of its symmetry quotient when
+   [opts.symmetry] finds one. *)
+let encode_fresh ~suffix ~namespace ~pins net opts =
   (* Symmetry quotient: substitute the reduced network when the
      analysis finds interchangeable devices.  Disabled under
      [max_failures]: one representative link stands for a whole class
@@ -996,12 +1158,34 @@ let build ?(suffix = "") ?namespace ?(pins = []) net opts =
     else (net, [], [])
   in
   let t =
-    build_general net opts ~igp_only:false ~suffix ~namespace ~dst_const:None
-      ~shared_failed:None
+    build_general net opts ~igp_only:false ~suffix ~namespace ~pins ~dst_const:None
+      ~shared_failed:None ~prev:None
   in
   t.sym_classes <- classes;
   t.sym_rep <- rep;
   t
+
+let build ?(suffix = "") ?namespace ?(pins = []) net opts =
+  if opts.Options.preflight_lint then Analysis.Lint.preflight net;
+  encode_fresh ~suffix ~namespace ~pins net opts
+
+let rebuild prev net =
+  let opts = prev.opts in
+  (* consistency checks cross devices: the whole network, every time *)
+  if opts.Options.preflight_lint then Analysis.Lint.preflight net;
+  let coupling =
+    if opts.Options.symmetry || prev.namespace = None then None
+    else affected opts ~old_net:prev.net net
+  in
+  match coupling with
+  | None ->
+    encode_fresh ~suffix:prev.base_suffix ~namespace:prev.namespace ~pins:prev.pins net opts
+  | Some (_, coupled) ->
+    let tbl = Hashtbl.create 8 in
+    List.iter (fun d -> Hashtbl.replace tbl d ()) coupled;
+    build_general net opts ~igp_only:false ~suffix:prev.base_suffix ~namespace:prev.namespace
+      ~pins:prev.pins ~dst_const:None ~shared_failed:None
+      ~prev:(Some (prev, fun d -> not (Hashtbl.mem tbl d)))
 
 let stats t =
   let n = List.length t.asserts in

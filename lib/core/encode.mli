@@ -45,6 +45,35 @@ val build :
     [max_failures]); [pins] is ignored when symmetry is off.
     @raise Analysis.Lint.Lint_errors on Error-level lint findings. *)
 
+val rebuild : t -> Config.Ast.network -> t
+(** [rebuild enc net] is [build ~suffix ~namespace ~pins net opts] with
+    [enc]'s suffix, name-space, pins and options, but it encodes only
+    the devices {!affected} names and takes every other device's record,
+    table entries and tagged assertions over from [enc] (inside each
+    iBGP copy too).  Its slices are physically those of the build.  It
+    is a plain build when [enc] has no name-space, under
+    [opts.symmetry], when {!affected} reports a network-wide change, or
+    when the unscoped assertions differ (e.g. a changed external peering
+    under [max_failures]).  The lint pre-flight runs on the whole of
+    [net].
+    @raise Analysis.Lint.Lint_errors on Error-level lint findings. *)
+
+val affected :
+  Options.t -> old_net:Config.Ast.network -> Config.Ast.network -> (string list * string list) option
+(** [affected opts ~old_net net] is [None] when a network-wide input of
+    the encoding differs between the two networks: the device list (in
+    order), the topology, {!Features.scan}, or the iBGP sessions with
+    their neighbor addresses.  Otherwise it is [Some (changed,
+    coupled)]: the devices whose configuration differs, and those plus
+    every device whose slice may change with them — topology neighbors,
+    devices with a BGP neighbor or static next hop at an address a
+    changed device owns in either network, and the owners of the changed
+    devices' addresses in either network.  Both lists are sorted. *)
+
+val encoded : t -> string list
+(** The devices this encoding encoded itself: all of them for {!build},
+    the affected ones for a {!rebuild} that reused the rest. *)
+
 val network : t -> Config.Ast.network
 val options : t -> Options.t
 val packet : t -> Packet.t

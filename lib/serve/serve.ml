@@ -4,7 +4,10 @@
 
    The daemon keeps one support-tracking solver and rebases it onto
    each new encoding (built in the daemon's name-space), re-asserting
-   only the device slices whose terms changed; see [session_for].
+   only the device slices whose terms changed; see [session_for].  A
+   new encoding is itself rebuilt from the solver's current one
+   ([Encode.rebuild]): only the devices [Encode.affected] couples to
+   the change are encoded again; see [materialize].
 
    Two caches make the daemon more than a socket wrapper:
 
@@ -20,7 +23,9 @@
      and when a diff's (conservatively expanded) changed-device set is
      disjoint from that support, the old verdict is replayed into the
      new state without touching a solver — see DESIGN.md for the
-     soundness argument and the full-fallback conditions.
+     soundness argument and the full-fallback conditions.  The
+     expansion is [Encode.affected]'s, the rule [Encode.rebuild]
+     follows.
 
    Encodings are built lazily: a diff whose cached verdicts all replay,
    followed by queries answered from the cache, never encodes the new
@@ -42,10 +47,6 @@ type built = { b_enc : MS.Encode.t; b_session : Verify.Session.t }
 type netstate = {
   ns_net : A.network;
   ns_key : string;  (* concrete digest of the whole network *)
-  ns_digests : (string * string) list;  (* device -> concrete digest, sorted *)
-  ns_topo : string;  (* digest of the link structure *)
-  ns_feats : MS.Features.t;
-  ns_ibgp : string list;  (* internal same-ASN sessions, with literal IPs *)
   mutable ns_built : built option;
   ns_verdicts : (string, string list option * Report.t list) Hashtbl.t;
       (* spec_key -> (devices whose config the property terms read
@@ -64,51 +65,18 @@ let topo_digest (topo : Net.Topology.t) =
           (List.sort compare (Net.Topology.devices topo)
           @ List.sort compare (List.map link (Net.Topology.links topo)))))
 
-(* The iBGP sessions with their literal neighbor addresses.  The iBGP
-   copy encodings key their structure on these, so any change to the
-   set forces full re-verification. *)
-let ibgp_signature (net : A.network) =
-  List.concat_map
-    (fun (d : A.device) ->
-      match d.A.dev_bgp with
-      | None -> []
-      | Some bgp ->
-        List.filter_map
-          (fun (n : A.bgp_neighbor) ->
-            match A.device_of_ip net n.A.nbr_ip with
-            | Some d2 when d2.A.dev_name <> d.A.dev_name -> (
-              match d2.A.dev_bgp with
-              | Some b2 when b2.A.bgp_asn = bgp.A.bgp_asn ->
-                Some
-                  (Printf.sprintf "%s->%s@%s" d.A.dev_name d2.A.dev_name
-                     (Net.Ipv4.to_string n.A.nbr_ip))
-              | Some _ | None -> None)
-            | Some _ | None -> None)
-          bgp.A.bgp_neighbors)
-    net.A.net_devices
-  |> List.sort compare
-
-let netstate_of ~slice (net : A.network) =
+let netstate_of (net : A.network) =
   let digests =
     List.map (fun (d : A.device) -> (d.A.dev_name, Analysis.Symmetry.digest d)) net.A.net_devices
     |> List.sort compare
   in
-  let topo = topo_digest net.A.net_topology in
   let key =
     Digest.to_hex
       (Digest.string
-         (topo ^ "\n" ^ String.concat "\n" (List.map (fun (n, d) -> n ^ ":" ^ d) digests)))
+         (topo_digest net.A.net_topology ^ "\n"
+         ^ String.concat "\n" (List.map (fun (n, d) -> n ^ ":" ^ d) digests)))
   in
-  {
-    ns_net = net;
-    ns_key = key;
-    ns_digests = digests;
-    ns_topo = topo;
-    ns_feats = MS.Features.scan net ~slice;
-    ns_ibgp = ibgp_signature net;
-    ns_built = None;
-    ns_verdicts = Hashtbl.create 32;
-  }
+  { ns_net = net; ns_key = key; ns_built = None; ns_verdicts = Hashtbl.create 32 }
 
 (* -- the daemon ------------------------------------------------------------- *)
 
@@ -127,6 +95,8 @@ type counters = {
   mutable dropped_verdicts : int;  (* cached verdicts a diff invalidated *)
   mutable rebases : int;  (* encodings moved onto the daemon's solver *)
   mutable fresh_solvers : int;  (* solvers started from scratch *)
+  mutable rebuilds : int;  (* encodings produced by [Encode.rebuild] *)
+  mutable reencoded_devices : int;  (* devices those rebuilds encoded, summed *)
 }
 
 type t = {
@@ -185,6 +155,8 @@ let create ?(jobs = 1) opts =
         dropped_verdicts = 0;
         rebases = 0;
         fresh_solvers = 0;
+        rebuilds = 0;
+        reencoded_devices = 0;
       };
   }
 
@@ -207,7 +179,10 @@ let session_for t enc =
 (* Build (or fetch) the encoding and its support-tracking session.
    This is the only place encodings are constructed — load and diff
    defer to it, so a state whose queries are all answered from the
-   verdict cache is never encoded. *)
+   verdict cache is never encoded.  A new encoding is rebuilt from the
+   one the daemon's solver last answered on, which, encoding being
+   lazy, need not be the previous state's; only the first encoding of
+   a daemon is a plain build. *)
 let materialize t ns =
   match ns.ns_built with
   | Some b -> b
@@ -220,7 +195,15 @@ let materialize t ns =
       b
     | None ->
       t.c.enc_cache_misses <- t.c.enc_cache_misses + 1;
-      let enc = MS.Encode.build ~namespace:t.namespace ns.ns_net t.opts in
+      let enc =
+        match t.solver with
+        | None -> MS.Encode.build ~namespace:t.namespace ns.ns_net t.opts
+        | Some s ->
+          let enc = MS.Encode.rebuild (Verify.Session.encoding s) ns.ns_net in
+          t.c.rebuilds <- t.c.rebuilds + 1;
+          t.c.reencoded_devices <- t.c.reencoded_devices + List.length (MS.Encode.encoded enc);
+          enc
+      in
       let b = { b_enc = enc; b_session = session_for t enc } in
       t.solver <- Some b.b_session;
       Hashtbl.replace t.enc_cache ns.ns_key b;
@@ -235,43 +218,6 @@ let materialize t ns =
       b)
 
 (* -- diff: changed set, coupling expansion, verdict migration --------------- *)
-
-(* Devices whose encoded slice could change when [changed] devices'
-   configurations change, even though their own configuration text did
-   not: topology neighbors (shared link, hence shared failure variable
-   and forwarding edge), devices with a BGP neighbor address owned by a
-   changed device (session classification runs through
-   [device_of_ip]), and devices with a static next hop resolving into
-   a changed device.  Ownership is checked in the old and the new
-   network — an address a changed device acquired couples its users
-   just as one it gave up does. *)
-let couple ~old_net ~new_net changed =
-  let is_changed n = List.mem n changed in
-  let owned_by_changed ip =
-    let owner net = Option.map (fun (d : A.device) -> d.A.dev_name) (A.device_of_ip net ip) in
-    (match owner old_net with Some n -> is_changed n | None -> false)
-    || (match owner new_net with Some n -> is_changed n | None -> false)
-  in
-  let refs_changed (d : A.device) =
-    (match d.A.dev_bgp with
-     | None -> false
-     | Some bgp -> List.exists (fun (n : A.bgp_neighbor) -> owned_by_changed n.A.nbr_ip) bgp.A.bgp_neighbors)
-    || List.exists
-         (fun (s : A.static_route) ->
-           match s.A.st_next_hop with Some ip -> owned_by_changed ip | None -> false)
-         d.A.dev_statics
-  in
-  let topo_coupled =
-    List.concat_map
-      (fun c -> List.map (fun (_, peer, _) -> peer) (Net.Topology.neighbors old_net.A.net_topology c))
-      changed
-  in
-  let ref_coupled =
-    List.filter_map
-      (fun (d : A.device) -> if refs_changed d then Some d.A.dev_name else None)
-      (old_net.A.net_devices @ new_net.A.net_devices)
-  in
-  List.sort_uniq compare (changed @ topo_coupled @ ref_coupled)
 
 (* Devices whose configuration a spec's *property terms* read directly
    (outside the tagged, assumption-guarded device slices): destination
@@ -308,20 +254,9 @@ let apply_diff t (old_ns : netstate) (new_ns : netstate) =
     t.state <- Some new_ns;
     { d_mode = `Full; d_changed = []; d_coupled = []; d_replayed = 0; d_dropped = old_verdict_count }
   in
-  let same_devices = List.map fst old_ns.ns_digests = List.map fst new_ns.ns_digests in
-  if
-    (not same_devices)
-    || old_ns.ns_topo <> new_ns.ns_topo
-    || old_ns.ns_feats <> new_ns.ns_feats
-    || old_ns.ns_ibgp <> new_ns.ns_ibgp
-  then full ()
-  else begin
-    let changed =
-      List.filter_map
-        (fun ((n, d), (_, d')) -> if d = d' then None else Some n)
-        (List.combine old_ns.ns_digests new_ns.ns_digests)
-    in
-    let coupled = couple ~old_net:old_ns.ns_net ~new_net:new_ns.ns_net changed in
+  match MS.Encode.affected t.opts ~old_net:old_ns.ns_net new_ns.ns_net with
+  | None -> full ()
+  | Some (changed, coupled) ->
     let replayable (r : Report.t) =
       match (r.Report.verdict, r.Report.support) with
       | Report.Verified, Some support -> not (List.exists (fun d -> List.mem d coupled) support)
@@ -352,7 +287,6 @@ let apply_diff t (old_ns : netstate) (new_ns : netstate) =
       d_replayed = !replayed;
       d_dropped = !dropped;
     }
-  end
 
 (* -- request handling ------------------------------------------------------- *)
 
@@ -369,7 +303,7 @@ let handle_load t text =
   | Error e -> err "load: %s" e
   | Ok net ->
     t.c.loads <- t.c.loads + 1;
-    let ns = netstate_of ~slice:t.opts.MS.Options.slice_unused net in
+    let ns = netstate_of net in
     t.state <- Some ns;
     Printf.sprintf "{\"schema\":%d,\"ok\":true,\"op\":\"load\",\"devices\":%d,\"key\":%s}" schema
       (List.length net.A.net_devices) (J.quote ns.ns_key)
@@ -382,7 +316,7 @@ let handle_diff t text =
     | Error e -> err "diff: %s" e
     | Ok net ->
       t.c.diffs <- t.c.diffs + 1;
-      let new_ns = netstate_of ~slice:t.opts.MS.Options.slice_unused net in
+      let new_ns = netstate_of net in
       let o = apply_diff t old_ns new_ns in
       let names ds = String.concat "," (List.map J.quote ds) in
       Printf.sprintf
@@ -470,7 +404,7 @@ let handle_stats t =
       n
   in
   Printf.sprintf
-    "{\"schema\":%d,\"ok\":true,\"op\":\"stats\",\"loaded\":%b,\"devices\":%d,\"loads\":%d,\"diffs\":%d,\"query_requests\":%d,\"queries_answered\":%d,\"enc_cache_hits\":%d,\"enc_cache_misses\":%d,\"enc_cache_size\":%d,\"verdict_hits\":%d,\"solves\":%d,\"delta_replays\":%d,\"delta_diffs\":%d,\"full_diffs\":%d,\"dropped_verdicts\":%d,\"live_terms\":%d,\"heap_mb\":%.1f,\"rebases\":%d,\"fresh_solvers\":%d,\"solver_vars\":%d,\"live_guards\":%d}"
+    "{\"schema\":%d,\"ok\":true,\"op\":\"stats\",\"loaded\":%b,\"devices\":%d,\"loads\":%d,\"diffs\":%d,\"query_requests\":%d,\"queries_answered\":%d,\"enc_cache_hits\":%d,\"enc_cache_misses\":%d,\"enc_cache_size\":%d,\"verdict_hits\":%d,\"solves\":%d,\"delta_replays\":%d,\"delta_diffs\":%d,\"full_diffs\":%d,\"dropped_verdicts\":%d,\"live_terms\":%d,\"heap_mb\":%.1f,\"rebases\":%d,\"fresh_solvers\":%d,\"rebuilds\":%d,\"reencoded_devices\":%d,\"solver_vars\":%d,\"live_guards\":%d}"
     schema
     (t.state <> None)
     (match t.state with Some ns -> List.length ns.ns_net.A.net_devices | None -> 0)
@@ -478,7 +412,7 @@ let handle_stats t =
     (Hashtbl.length t.enc_cache) c.verdict_hits c.solves c.delta_replays c.delta_diffs
     c.full_diffs c.dropped_verdicts live_terms
     (float_of_int ((Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8)) /. 1048576.)
-    c.rebases c.fresh_solvers
+    c.rebases c.fresh_solvers c.rebuilds c.reencoded_devices
     (match t.solver with Some s -> (Verify.Session.stats s).Smt.Solver.sat_vars | None -> 0)
     (match t.solver with Some s -> Verify.Session.live_guards s | None -> 0)
 

@@ -10,7 +10,13 @@
     slices whose terms changed, so learnt clauses and the CNF cache
     carry across diffs.  A fresh solver replaces it when [rebase]
     refuses (the unscoped assertions changed) or once it carries more
-    than twice the SAT variables it started with.
+    than twice the SAT variables it started with.  Each new encoding
+    after the first is {!Minesweeper.Encode.rebuild} of the solver's
+    current one: only the devices the change can reach are encoded
+    again ([stats] counts [rebuilds] and their [reencoded_devices]).  A
+    configuration the lint pre-flight rejects is accepted by [load] and
+    [diff] but makes [query] fail, leaving the solver and the rebuild
+    base untouched.
 
     Two caches make the daemon more than a socket wrapper:
 
@@ -32,8 +38,10 @@
       structure of every device (blackholes, loops, no-leak, all-pairs)
       never replay across a diff; diffs that change the device set, the
       topology, the feature scan or the iBGP session structure fall
-      back to full re-verification (all cached verdicts dropped); see
-      DESIGN.md for the soundness argument.
+      back to full re-verification (all cached verdicts dropped).  The
+      changed-device set and its expansion are
+      {!Minesweeper.Encode.affected}'s; see DESIGN.md for the soundness
+      argument.
 
     Encodings are built lazily — a diff whose cached verdicts all
     replay, followed by queries answered from the cache, never encodes

@@ -173,8 +173,8 @@ let test_config_lines () =
 
 (* Round-trip property over the synthetic networks: reparsing a printed
    network reproduces every device structurally and the same link set
-   (links compared as an orientation-insensitive set, since the parser
-   re-infers subnets before reading explicit link lines). *)
+   (links compared as an orientation-insensitive set: the parser orders
+   the links inference would find first, in its orientation). *)
 let canonical_links (net : A.network) =
   List.sort compare
     (List.map
@@ -207,6 +207,40 @@ let test_roundtrip_generators () =
         (canonical_links net = canonical_links net2);
       Alcotest.(check string) (name ^ ": print fixpoint") printed (Printer.network_to_string net2))
     nets
+
+(* The same round trip as a property over fat trees, fleet networks
+   and every mutation of [Mutators], each drawn at random: a dropped
+   link must stay dropped although its two interfaces still share a
+   subnet, and printing the parsed network again gives the same text. *)
+let fleet = lazy (Array.of_list (Generators.Enterprise.fleet ()))
+
+let prop_print_parse =
+  QCheck.Test.make ~name:"print/parse round trip" ~count:(4 * Mutators.fuzz_count)
+    (QCheck.make
+       ~print:QCheck.Print.(pair int int)
+       QCheck.Gen.(pair (int_bound 99999) (int_bound 99999)))
+    (fun (pick, k) ->
+      let net, edits =
+        let generic =
+          Mutators.
+            [ flip_rm_action k; rotate_local_prefs; drop_link k; filter_link k ]
+        in
+        if pick mod 4 = 0 then
+          ((Generators.Fattree.make ~pods:(2 * (1 + (pick / 4 mod 3)))).Generators.Fattree.network, generic)
+        else
+          let fleet = Lazy.force fleet in
+          let t = fleet.(pick mod Array.length fleet) in
+          (t.Generators.Enterprise.network, generic @ [ Mutators.rack_acl k t; Mutators.edge_import k t ])
+      in
+      let net = (List.nth edits (k mod List.length edits)) net in
+      let printed = Printer.network_to_string net in
+      let back = Parser.parse_network printed in
+      if back.A.net_devices <> net.A.net_devices then QCheck.Test.fail_report "devices differ";
+      if Net.Topology.devices back.A.net_topology <> Net.Topology.devices net.A.net_topology then
+        QCheck.Test.fail_report "topology devices differ";
+      if canonical_links back <> canonical_links net then QCheck.Test.fail_report "link sets differ";
+      if Printer.network_to_string back <> printed then QCheck.Test.fail_report "reprint differs";
+      true)
 
 (* -- inferred link order ------------------------------------------------------ *)
 
@@ -334,6 +368,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "generator roundtrip" `Quick test_roundtrip_generators;
+          QCheck_alcotest.to_alcotest prop_print_parse;
           Alcotest.test_case "config lines" `Quick test_config_lines;
         ] );
     ]

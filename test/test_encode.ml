@@ -481,6 +481,197 @@ let test_stats_pinned () =
         expected)
     [ (567, 31143); (952, 51137); (600, 34292) ]
 
+(* -- rebuild: re-encode only what a diff touched -------------------------------- *)
+
+(* The unscoped assertions and each device's slice, in emission order. *)
+let slices enc =
+  let tagged = MS.Encode.tagged_assertions enc in
+  let slice d = List.filter_map (fun (s, term) -> if s = Some d then Some term else None) tagged in
+  ( List.filter_map (fun (s, term) -> if s = None then Some term else None) tagged,
+    List.map (fun d -> (d, slice d)) (MS.Encode.devices enc) )
+
+(* [rebuilt] must be, term for term, the encoding [built]: the same
+   unscoped assertions, the same slice for every device, the whole
+   assertion list in the same order, and the same forwarding and
+   best-route terms where properties read them. *)
+let same_encoding what rebuilt built =
+  let fail fmt = Printf.ksprintf (fun m -> failwith (what ^ ": " ^ m)) fmt in
+  let u1, s1 = slices rebuilt and u2, s2 = slices built in
+  if not (List.equal ( == ) u1 u2) then fail "unscoped assertions differ";
+  List.iter2
+    (fun (d, a) (d', b) ->
+      if d <> d' then fail "device order differs (%s, %s)" d d';
+      if not (List.equal ( == ) a b) then
+        fail "slice of %s differs (%d terms rebuilt, %d built)" d (List.length a) (List.length b))
+    s1 s2;
+  if
+    not
+      (List.equal
+         (fun (s, a) (s', b) -> s = s' && a == b)
+         (MS.Encode.tagged_assertions rebuilt) (MS.Encode.tagged_assertions built))
+  then fail "assertion order differs";
+  List.iter
+    (fun d ->
+      List.iter
+        (fun h ->
+          if MS.Encode.controlfwd rebuilt d h != MS.Encode.controlfwd built d h then
+            fail "controlfwd %s %s differs" d (MS.Nexthop.to_string h);
+          if MS.Encode.datafwd rebuilt d h != MS.Encode.datafwd built d h then
+            fail "datafwd %s %s differs" d (MS.Nexthop.to_string h))
+        (MS.Encode.hops built d);
+      if
+        (MS.Encode.best_overall rebuilt d).MS.Sym_record.valid
+        != (MS.Encode.best_overall built d).MS.Sym_record.valid
+      then fail "best record of %s differs" d)
+    (MS.Encode.devices built)
+
+let rebuild_spaces = ref 0
+
+(* A chain of serve-churn steps over a generated enterprise network
+   (two iBGP copies): each network is rebuilt from the previous
+   rebuild, as the serve daemon does, and must equal a build in the
+   same name-space; the devices re-encoded must be the ones [affected]
+   names. *)
+let prop_rebuild =
+  QCheck.Test.make ~name:"rebuild equals build" ~count:Mutators.fuzz_count
+    (QCheck.make
+       ~print:QCheck.Print.(triple int int (list int))
+       QCheck.Gen.(
+         triple (int_bound 9999) (int_range 5 12) (list_size (int_range 1 4) (int_bound 99999))))
+    (fun (seed, routers, steps) ->
+      let t = Generators.Enterprise.make ~seed ~routers ~inject:Generators.Enterprise.no_bugs () in
+      let opts =
+        match seed mod 3 with
+        | 0 -> default
+        | 1 -> { default with MS.Options.merge_dataplane = false; merge_filters = false }
+        | _ -> { default with MS.Options.max_failures = Some 1; merge_filters = false }
+      in
+      incr rebuild_spaces;
+      let namespace = Printf.sprintf "rebuild%d" !rebuild_spaces in
+      let build net = MS.Encode.build ~namespace net opts in
+      let net0 = t.Generators.Enterprise.network in
+      ignore
+        (List.fold_left
+           (fun (enc, history, i) k ->
+             let cur = List.hd history in
+             let kind, net =
+               match k mod 7 with
+               | 0 -> ("flip-rm-action", Mutators.flip_rm_action (k / 7) cur)
+               | 1 -> ("rotate-local-prefs", Mutators.rotate_local_prefs cur)
+               | 2 -> ("drop-link", Mutators.drop_link (k / 7) cur)
+               | 3 -> ("filter-link", Mutators.filter_link (k / 7) cur)
+               | 4 -> ("rack-acl", Mutators.rack_acl (k / 7) t cur)
+               | 5 -> ("edge-import", Mutators.edge_import (k / 7) t cur)
+               | _ -> ("flap-back", List.nth history (k / 7 mod List.length history))
+             in
+             let what = Printf.sprintf "step %d (%s)" i kind in
+             match build net with
+             | exception Analysis.Lint.Lint_errors _ -> (
+               match MS.Encode.rebuild enc net with
+               | exception Analysis.Lint.Lint_errors _ -> (enc, history, i + 1)
+               | _ -> QCheck.Test.fail_reportf "%s: rebuild skipped the pre-flight" what)
+             | built ->
+               let rebuilt = MS.Encode.rebuild enc net in
+               same_encoding what rebuilt built;
+               (* only a changed failure bound (an external peering
+                  under [max_failures]) may turn a delta into a full
+                  encoding *)
+               let all = List.sort compare (MS.Encode.devices built) in
+               let got = List.sort compare (MS.Encode.encoded rebuilt) in
+               let expected =
+                 match MS.Encode.affected opts ~old_net:(MS.Encode.network enc) net with
+                 | None -> got = all
+                 | Some (_, coupled) ->
+                   got = coupled || (opts.MS.Options.max_failures <> None && got = all)
+               in
+               if not expected then
+                 QCheck.Test.fail_reportf "%s: re-encoded [%s] of [%s]" what
+                   (String.concat "," got) (String.concat "," all);
+               (rebuilt, net :: history, i + 1))
+           (build net0, [ net0 ], 0) steps);
+      true)
+
+(* The two couplings the generated networks never exercise: R1 and R3
+   are iBGP peers two hops apart, so R3's export policy reaches R1's
+   slice only through the session; and when Z, listed first, takes over
+   R3's address 10.0.34.3, R4's session behind it moves to Z, and R3's
+   import from R4 loses R4's export policy although R3 neither changed
+   nor references Z. *)
+let coupling_net =
+  {|hostname Z
+interface e0
+ ip address 10.9.0.1/24
+router bgp 100
+!
+hostname R1
+interface e0
+ ip address 10.0.12.1/24
+interface lo
+ ip address 1.1.1.1/32
+router ospf 1
+ network 0.0.0.0/0
+router bgp 100
+ neighbor 3.3.3.3 remote-as 100
+!
+hostname R2
+interface e0
+ ip address 10.0.12.2/24
+interface e1
+ ip address 10.0.23.2/24
+router ospf 1
+ network 0.0.0.0/0
+!
+hostname R3
+interface e1
+ ip address 10.0.23.3/24
+interface e2
+ ip address 10.0.34.3/24
+interface lo
+ ip address 3.3.3.3/32
+router ospf 1
+ network 0.0.0.0/0
+router bgp 100
+ neighbor 1.1.1.1 remote-as 100
+ neighbor 1.1.1.1 route-map OUT out
+ neighbor 10.0.34.4 remote-as 4
+route-map OUT permit 10
+ set local-preference 200
+!
+hostname R4
+interface e2
+ ip address 10.0.34.4/24
+router bgp 4
+ neighbor 10.0.34.3 remote-as 100
+ neighbor 10.0.34.3 route-map SET out
+route-map SET permit 10
+ set metric 7
+|}
+
+let test_rebuild_coupling () =
+  let net = parse coupling_net in
+  let new_pref (d : A.device) =
+    let clause (c : A.rm_clause) = { c with A.rm_sets = [ A.Set_local_pref 300 ] } in
+    let rmap (rm : A.route_map) = { rm with A.rm_clauses = List.map clause rm.A.rm_clauses } in
+    { d with A.dev_route_maps = List.map rmap d.A.dev_route_maps }
+  in
+  let takeover (d : A.device) =
+    let r3 = Option.get (A.find_device net "R3") in
+    { d with A.dev_interfaces = d.A.dev_interfaces @ [ Option.get (A.find_interface r3 "e2") ] }
+  in
+  List.iter
+    (fun (what, net', want) ->
+      let enc = MS.Encode.build ~namespace:("coupling-" ^ what) net default in
+      let rebuilt = MS.Encode.rebuild enc net' in
+      same_encoding what rebuilt (MS.Encode.build ~namespace:("coupling-" ^ what) net' default);
+      Alcotest.(check (list string)) (what ^ ": re-encoded") want
+        (List.sort compare (MS.Encode.encoded rebuilt)))
+    [
+      (* R3 changed, R2 and R4 its neighbors, R1 its iBGP peer *)
+      ("export policy", Mutators.map_device "R3" new_pref net, [ "R1"; "R2"; "R3"; "R4" ]);
+      (* Z changed, R4 references the address, R3 owned it *)
+      ("address takeover", Mutators.map_device "Z" takeover net, [ "R3"; "R4"; "Z" ]);
+    ]
+
 let () =
   Alcotest.run "encode"
     [
@@ -500,4 +691,9 @@ let () =
           Alcotest.test_case "pinned sizes" `Quick test_stats_pinned;
         ] );
       ("ebgp", [ Alcotest.test_case "session needs a link" `Quick test_ebgp_needs_link ]);
+      ( "rebuild",
+        [
+          QCheck_alcotest.to_alcotest prop_rebuild;
+          Alcotest.test_case "coupling beyond neighbors" `Quick test_rebuild_coupling;
+        ] );
     ]

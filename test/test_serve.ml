@@ -222,8 +222,8 @@ let daemon_verdicts d t =
   if get_bool_field resp "ok" then Some (verdicts resp) else None
 
 (* One step of a churn sequence: a semantic mutation shared with the
-   fuzzer (a flipped route-map clause, rotated local preferences, a cut
-   link — which changes the topology and forces a full diff), an edit
+   fuzzer (a flipped route-map clause, rotated local preferences, a
+   dropped link — which changes the topology and forces a full diff), an edit
    to one of the first two racks' ACLs (the delta path), or a flap back
    to a configuration seen earlier in the sequence. *)
 let churn_step (t : G.Enterprise.t) history k =
@@ -231,7 +231,7 @@ let churn_step (t : G.Enterprise.t) history k =
   match k mod 6 with
   | 0 -> ("flip-rm-action", Mutators.flip_rm_action (k / 6) cur)
   | 1 -> ("rotate-local-prefs", Mutators.rotate_local_prefs cur)
-  | 2 -> ("cut-link", Mutators.cut_link (k / 6) cur)
+  | 2 -> ("drop-link", Mutators.drop_link (k / 6) cur)
   | 3 | 4 -> ("rack-acl", mutate_rack (k / 6) t cur)
   | _ -> ("flap-back", List.nth history (k / 6 mod List.length history))
 
@@ -342,7 +342,7 @@ let test_unscoped_change () =
   let t = Lazy.force base_t in
   let opts = { default with MS.Options.max_failures = Some 1 } in
   let net_a = t.G.Enterprise.network in
-  let text_b = print_net (Mutators.cut_link 0 net_a) in
+  let text_b = print_net (Mutators.drop_link 0 net_a) in
   let net_b = Config.Parser.parse_network text_b in
   Alcotest.(check bool) "the cut changes the topology" true
     (List.length (Net.Topology.links net_b.A.net_topology)
@@ -370,11 +370,13 @@ let test_delta_replays () =
   let d = Serve.create default in
   ignore (ask d (req_load (print_net t.G.Enterprise.network)));
   ignore (daemon_verdicts d t);
+  let reencoded () = get_int_field (ask d {|{"schema":2,"op":"stats"}|}) "reencoded_devices" in
   ignore
     (List.fold_left
        (fun net step ->
          let net = mutate_rack step t net in
          let text = print_net net in
+         let before = reencoded () in
          let resp = ask d (req_diff text) in
          Alcotest.(check (option string))
            (Printf.sprintf "step %d mode" step)
@@ -384,12 +386,55 @@ let test_delta_replays () =
            (Printf.sprintf "step %d verdicts" step)
            (cold_verdicts default t (Config.Parser.parse_network text))
            (daemon_verdicts d t);
+         (* the rebuild re-encoded the rack and the two cores it hangs
+            off, not the whole network *)
+         let coupled = Option.bind (J.member "coupled" resp) J.get_list in
+         Alcotest.(check (option int))
+           (Printf.sprintf "step %d coupled set" step)
+           (Some 3) (Option.map List.length coupled);
+         Alcotest.(check int) (Printf.sprintf "step %d re-encoded" step) 3 (reencoded () - before);
          net)
        t.G.Enterprise.network [ 0; 1; 2; 3 ]);
   let stats = ask d {|{"schema":2,"op":"stats"}|} in
   Alcotest.(check int) "every diff stayed delta" 4 (get_int_field stats "delta_diffs");
   Alcotest.(check int) "no full diff" 0 (get_int_field stats "full_diffs");
-  Alcotest.(check bool) "replays happened" true (get_int_field stats "delta_replays" > 0)
+  Alcotest.(check bool) "replays happened" true (get_int_field stats "delta_replays" > 0);
+  Alcotest.(check int) "every query after a diff rebuilt" 4 (get_int_field stats "rebuilds")
+
+(* A diff to a configuration the pre-flight rejects (two devices named
+   alike, MS-E305) is accepted, but the query after it errors, and the
+   failed rebuild leaves the daemon's solver and its rebuild base as
+   they were: the next good configuration is rebuilt from the last one
+   that encoded, re-encoding only what differs from it, and answers as
+   a cold session does. *)
+let test_bad_diff_keeps_serving () =
+  let t = Lazy.force base_t in
+  let net = t.G.Enterprise.network in
+  let d = Serve.create default in
+  ignore (ask d (req_load (print_net net)));
+  ignore (daemon_verdicts d t);
+  let solver_state () =
+    let stats = ask d {|{"schema":2,"op":"stats"}|} in
+    List.map (get_int_field stats)
+      [ "solver_vars"; "live_guards"; "rebases"; "fresh_solvers"; "rebuilds"; "reencoded_devices" ]
+  in
+  let before = solver_state () in
+  let dup = { net with A.net_devices = net.A.net_devices @ [ List.hd net.A.net_devices ] } in
+  ignore (ask d (req_diff (print_net dup)));
+  let e = expect_err (fst (Serve.handle_line d (req_query t))) in
+  Alcotest.(check bool) "the error names the query" true (String.sub e 0 6 = "query:");
+  Alcotest.(check (list int)) "solver untouched" before (solver_state ());
+  let good = mutate_rack 0 t net in
+  ignore (ask d (req_diff (print_net good)));
+  Alcotest.(check (option verdict_list)) "answers as cold" (cold_verdicts default t good)
+    (daemon_verdicts d t);
+  let stats = ask d {|{"schema":2,"op":"stats"}|} in
+  Alcotest.(check int) "one rebuild" 1 (get_int_field stats "rebuilds");
+  match MS.Encode.affected default ~old_net:net good with
+  | Some (_, coupled) ->
+    Alcotest.(check int) "rebuilt from the last good base" (List.length coupled)
+      (get_int_field stats "reencoded_devices")
+  | None -> Alcotest.fail "a rack edit is not a network-wide change"
 
 (* -- verdict cache and encoding cache --------------------------------------- *)
 
@@ -600,6 +645,7 @@ let () =
             test_views_alternate;
           Alcotest.test_case "unscoped change starts a fresh solver" `Quick test_unscoped_change;
           Alcotest.test_case "delta diffs replay verdicts" `Quick test_delta_replays;
+          Alcotest.test_case "a diff the pre-flight rejects" `Quick test_bad_diff_keeps_serving;
           Alcotest.test_case "verdict and encoding caches" `Slow test_caches;
           Alcotest.test_case "support tracking" `Quick test_support_tracking;
           Alcotest.test_case "heap flat under churn" `Slow test_heap_flat_under_churn;
