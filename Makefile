@@ -55,14 +55,17 @@ lint: build
 # matches its injection label), the serve daemon's churn
 # differential (random diff sequences, every answer against a cold
 # session), the rebuild oracle (Encode.rebuild against a build, term
-# for term, across churn steps) and the print/parse round trip of
-# mutated networks.  `dune runtest` runs the same properties with small
-# bounded samples; this raises them.
+# for term, across churn steps), the print/parse round trip of
+# mutated networks and the SAT core's chronological-backtracking
+# property (random 3-CNF; models, cores and proof traces checked).
+# `dune runtest` runs the same properties with small bounded samples;
+# this raises them.
 fuzz: build
 	MS_FUZZ_COUNT=$${MS_FUZZ_COUNT:-60} MS_FUZZ_FLEET=$${MS_FUZZ_FLEET:-152} dune exec test/test_fuzz.exe
 	MS_FUZZ_COUNT=$${MS_FUZZ_COUNT:-60} dune exec test/test_serve.exe
 	MS_FUZZ_COUNT=$${MS_FUZZ_COUNT:-60} dune exec test/test_encode.exe
 	MS_FUZZ_COUNT=$${MS_FUZZ_COUNT:-60} dune exec test/test_config.exe
+	MS_FUZZ_COUNT=$${MS_FUZZ_COUNT:-60} dune exec test/test_sat.exe
 
 # Line/branch coverage of the test suite via bisect_ppx.  The library
 # stanzas carry `(instrumentation (backend bisect_ppx))`, which is

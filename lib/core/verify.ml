@@ -125,6 +125,7 @@ module Report = struct
       clauses_exported = 0;
       learned_clauses = 0;
       theory_rounds = 0;
+      chrono_backtracks = 0;
       theory_propagations = 0;
       preprocessed_clauses = 0;
       lbd_reductions = 0;
@@ -217,13 +218,14 @@ module Report = struct
             (Msutil.Json.escape msg)));
     Buffer.add_string buf
       (Printf.sprintf
-         ",\"stats\":{\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\"learned_clauses\":%d,\"restarts\":%d,\"ema_restarts\":%d,\"blocked_restarts\":%d,\"rephases\":%d,\"clauses_imported\":%d,\"clauses_exported\":%d,\"theory_propagations\":%d,\"preprocessed_clauses\":%d,\"lbd_reductions\":%d,\"decisions_per_conflict\":%.2f,\"arena_bytes\":%d,\"arena_compactions\":%d,\"minor_words\":%.0f}}"
+         ",\"stats\":{\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\"learned_clauses\":%d,\"restarts\":%d,\"ema_restarts\":%d,\"blocked_restarts\":%d,\"rephases\":%d,\"clauses_imported\":%d,\"clauses_exported\":%d,\"theory_propagations\":%d,\"theory_conflicts\":%d,\"chrono_backtracks\":%d,\"preprocessed_clauses\":%d,\"lbd_reductions\":%d,\"decisions_per_conflict\":%.2f,\"arena_bytes\":%d,\"arena_compactions\":%d,\"minor_words\":%.0f}}"
          r.stats.Solver.conflicts r.stats.Solver.decisions r.stats.Solver.propagations
          r.stats.Solver.learned_clauses r.stats.Solver.restarts
          r.stats.Solver.ema_restarts r.stats.Solver.blocked_restarts
          r.stats.Solver.rephases r.stats.Solver.clauses_imported
          r.stats.Solver.clauses_exported
-         r.stats.Solver.theory_propagations r.stats.Solver.preprocessed_clauses
+         r.stats.Solver.theory_propagations r.stats.Solver.theory_rounds
+         r.stats.Solver.chrono_backtracks r.stats.Solver.preprocessed_clauses
          r.stats.Solver.lbd_reductions
          (decisions_per_conflict r.stats)
          (r.stats.Solver.arena_words * (Sys.word_size / 8))
@@ -492,6 +494,7 @@ module Session = struct
       clauses_exported = b.Solver.clauses_exported - a.Solver.clauses_exported;
       learned_clauses = b.Solver.learned_clauses - a.Solver.learned_clauses;
       theory_rounds = b.Solver.theory_rounds - a.Solver.theory_rounds;
+      chrono_backtracks = b.Solver.chrono_backtracks - a.Solver.chrono_backtracks;
       theory_propagations = b.Solver.theory_propagations - a.Solver.theory_propagations;
       preprocessed_clauses = b.Solver.preprocessed_clauses - a.Solver.preprocessed_clauses;
       lbd_reductions = b.Solver.lbd_reductions - a.Solver.lbd_reductions;

@@ -1,6 +1,6 @@
 (* Edges live in a flat int arena, [stride] words per assertion, in
    trail order.  The theory path asserts (and re-asserts, after every
-   backjump) hundreds of thousands of constraints per solve; keeping
+   backtrack) hundreds of thousands of constraints per solve; keeping
    them as unboxed ints instead of records means the hot path allocates
    nothing and the GC never scans the stack. *)
 let stride = 5 (* ex, ey, ek, etag, pos *)

@@ -3,15 +3,15 @@
     Maintains a feasible distance function for the asserted constraints
     [x - y <= k].  Assertions are pushed with the SAT trail position
     they correspond to, so {!backtrack} can pop them in sync with the
-    SAT solver's non-chronological backjumps.  Each assertion performs
-    an incremental feasibility repair (Cotton–Maler style): cost is
+    SAT solver's backtracks.  Each assertion performs an incremental
+    feasibility repair (Cotton–Maler style): cost is
     proportional to the affected region, and an infeasible assertion
     reports the negative cycle's tags without being committed.
 
     The assertion stack is a flat integer arena and the repair worklist
     and undo log are reused scratch buffers, so the committed-assertion
     path — which the DPLL(T) loop hits for every atom on the SAT trail,
-    re-asserting after every backjump — allocates nothing. *)
+    re-asserting after every backtrack — allocates nothing. *)
 
 type t
 

@@ -8,7 +8,28 @@
      vector of (cref, blocker) pairs: when the blocker is true the
      clause is satisfied and its literal slice is never touched
      (cache-friendliness);
-   - the implied literal of a reason clause sits at position 0.
+   - the implied literal of a reason clause sits at position 0, and the
+     highest-level literal among the others at position 1.
+
+   Chronological backtracking (Nadel & Ryvchin, SAT 2018; Möhle &
+   Biere, SAT 2019).  The trail is not sorted by level:
+   - an implied literal gets the highest level of its reason's other
+     literals, which can be below the current decision level;
+   - a conflict first backtracks to its conflict level (the highest
+     level in the conflicting clause), and [analyze] resolves only the
+     literals of that level;
+   - after a learnt clause or a conflicting theory lemma, a jump longer
+     than [chrono_threshold] levels stops one level below the conflict
+     level and assigns the asserting literal out of order, at its true
+     level;
+   - [cancel_until] keeps every literal at or below the target level and
+     re-pushes it above the cut, where it is propagated again;
+     [on_backtrack] still reports the cut, so a theory solver pops to it
+     and re-asserts the re-pushed literals.
+   Everything below [trail_lim.(l)] has a level <= [l].  Learnt units
+   still go to level 0.  Only the order in which the search visits
+   assignments changes: every clause it learns is the same kind of
+   resolvent, so the clause database and every verdict stay sound.
 
    Memory layout.  The clause database is a single growable int array —
    the arena — and a "clause" is an integer offset (a cref) into it.
@@ -36,6 +57,11 @@
    never orphan a logged step. *)
 
 let header_words = 3
+
+(* A backjump over more than this many levels backtracks chronologically
+   instead (one level below the conflict level).  Chosen by an ablation
+   over {0, 10, 100} on deterministic search counters (CHANGES.md). *)
+let chrono_threshold = 10
 
 type restart_mode = Luby | Ema_lbd
 
@@ -111,6 +137,7 @@ type t = {
   mutable propagations : int;
   mutable restarts : int;
   mutable learnts_made : int;
+  mutable chrono_backtracks : int;  (* backtracks that kept out-of-order literals *)
   mutable minor_words : float;
       (* minor-heap words allocated inside [solve] calls, cumulative
          ([Gc.minor_words] deltas): the observable for the
@@ -120,8 +147,9 @@ type t = {
          assumption literals whose conjunction the clause database
          refutes (empty when the database alone is unsatisfiable) *)
   mutable on_backtrack : int -> unit;
-      (* invoked from cancel_until with the new trail size, so theory
-         solvers can pop their assertion stacks in lock step *)
+      (* invoked from cancel_until with the cut (the trail size before
+         kept literals are re-pushed), so theory solvers can pop their
+         assertion stacks in lock step and re-assert what was re-pushed *)
   mutable strategy : strategy;
   mutable stop : (unit -> bool) option;
       (* cooperative cancellation: polled periodically during solve *)
@@ -238,6 +266,7 @@ let create () =
     propagations = 0;
     restarts = 0;
     learnts_made = 0;
+    chrono_backtracks = 0;
     minor_words = 0.0;
     core = [];
     on_backtrack = (fun (_ : int) -> ());
@@ -311,6 +340,7 @@ let num_propagations s = s.propagations
 let num_clauses s = Vec.size s.clauses
 let num_restarts s = s.restarts
 let num_learnts s = s.learnts_made
+let num_chrono_backtracks s = s.chrono_backtracks
 let num_lbd_deletions s = s.lbd_deletions
 let num_early_sats s = s.early_sats
 let num_compactions s = s.compactions
@@ -504,29 +534,49 @@ let[@inline] lit_value s l =
 
 let[@inline] decision_level s = s.trail_lim.Vec.len
 
-let[@inline] enqueue s l reason =
+let[@inline] enqueue s l reason lvl =
   let v = lit_var l in
   s.assign.(v) <- (if lit_sign l then 1 else -1);
-  s.level.(v) <- decision_level s;
+  s.level.(v) <- lvl;
   s.reason.(v) <- reason;
   if s.important.(v) then s.important_assigned <- s.important_assigned + 1;
   vpush s.trail l
 
+(* Unassign every literal above level [lvl].  Literals at or below it
+   that were assigned out of order above the cut stay assigned: they
+   are re-pushed, in trail order, right above the cut and propagated
+   again. *)
 let cancel_until s lvl =
   if decision_level s > lvl then begin
     let trail = s.trail in
     let bound = vget s.trail_lim lvl in
-    for i = trail.Vec.len - 1 downto bound do
+    let n = trail.Vec.len in
+    let kept = ref 0 in
+    for i = n - 1 downto bound do
       let l = vget trail i in
       let v = lit_var l in
-      s.phase.(v) <- lit_sign l;
-      s.assign.(v) <- 0;
-      s.reason.(v) <- -1;
-      if s.important.(v) then s.important_assigned <- s.important_assigned - 1;
-      heap_insert s v
+      if s.level.(v) > lvl then begin
+        s.phase.(v) <- lit_sign l;
+        s.assign.(v) <- 0;
+        s.reason.(v) <- -1;
+        if s.important.(v) then s.important_assigned <- s.important_assigned - 1;
+        heap_insert s v
+      end
+      else incr kept
     done;
+    if !kept > 0 then begin
+      let j = ref bound in
+      for i = bound to n - 1 do
+        let l = vget trail i in
+        if s.assign.(lit_var l) <> 0 then begin
+          vset trail !j l;
+          incr j
+        end
+      done;
+      s.chrono_backtracks <- s.chrono_backtracks + 1
+    end;
     s.qhead <- bound;
-    vshrink trail bound;
+    vshrink trail (bound + !kept);
     vshrink s.trail_lim lvl;
     s.on_backtrack bound
   end
@@ -621,7 +671,7 @@ let add_clause s lits =
       end;
       match lits' with
       | [] -> s.ok <- false
-      | [ l ] -> enqueue s l (-1)
+      | [ l ] -> enqueue s l (-1) 0
       | _ :: _ :: _ ->
         let c = alloc_clause s (Array.of_list lits') false in
         Vec.push s.clauses c;
@@ -634,10 +684,17 @@ let add_clause s lits =
 (* The inner loop reads the arena and the flat watcher pairs directly:
    no closures, no options, no boxed records, no allocation (the only
    heap effect is the amortized growth of a watcher vector).  Returns
-   the conflicting cref, or -1. *)
+   the conflicting cref, or -1.
+
+   A unit clause implies its literal at the highest level among its
+   other literals.  That is the level of the literal being propagated
+   unless it was assigned out of order; then the highest-level literal
+   moves to watch position 1, so any backtrack that unassigns the
+   implied literal unassigns that watch too. *)
 let propagate s =
   let confl = ref (-1) in
   let trail = s.trail in
+  let dl = decision_level s in
   while !confl < 0 && s.qhead < trail.Vec.len do
     let p = vget trail s.qhead in
     s.qhead <- s.qhead + 1;
@@ -690,20 +747,43 @@ let propagate s =
               vpush wk cr;
               vpush wk first
             end
-            else begin
+            else if lit_value s first = -1 then begin
               vset ws !j cr;
               vset ws (!j + 1) first;
               j := !j + 2;
-              if lit_value s first = -1 then begin
-                confl := cr;
-                s.qhead <- trail.Vec.len;
-                while !i < n do
-                  vset ws !j (vget ws !i);
-                  incr i;
-                  incr j
-                done
+              confl := cr;
+              s.qhead <- trail.Vec.len;
+              while !i < n do
+                vset ws !j (vget ws !i);
+                incr i;
+                incr j
+              done
+            end
+            else begin
+              let lv = Array.unsafe_get s.level (lit_var fl) in
+              let top = ref 1 and top_lv = ref lv in
+              if lv < dl then
+                for k = 2 to len - 1 do
+                  let lk = Array.unsafe_get s.level (lit_var (Array.unsafe_get arena (cr + 3 + k))) in
+                  if lk > !top_lv then begin
+                    top := k;
+                    top_lv := lk
+                  end
+                done;
+              if !top = 1 then begin
+                vset ws !j cr;
+                vset ws (!j + 1) first;
+                j := !j + 2
               end
-              else enqueue s first cr
+              else begin
+                let lk = Array.unsafe_get arena (cr + 3 + !top) in
+                Array.unsafe_set arena (cr + 4) lk;
+                Array.unsafe_set arena (cr + 3 + !top) fl;
+                let wk = Array.unsafe_get s.watches lk in
+                vpush wk cr;
+                vpush wk first
+              end;
+              enqueue s first cr !top_lv
             end
           end
         end
@@ -839,6 +919,58 @@ let lit_redundant_rec s abstract_levels q0 =
     vshrink toclear top;
     false
 
+(* Drop clause [c]'s watcher from literal [l]'s list, keeping the order
+   of the others. *)
+let unwatch s l c =
+  let ws = s.watches.(l) in
+  let n = ws.Vec.len in
+  let i = ref 0 in
+  while !i < n && vget ws !i <> c do
+    i := !i + 2
+  done;
+  if !i < n then begin
+    for k = !i to n - 3 do
+      vset ws k (vget ws (k + 2))
+    done;
+    vshrink ws (n - 2)
+  end
+
+(* The literals of a clause found conflicting can all sit below the
+   decision level.  Moves its two highest-level literals to the watch
+   positions (then every backtrack below the conflict level unassigns
+   both watches) and returns the conflict level, and whether the clause
+   has a single literal there: such a clause is a missed implication,
+   not a conflict to analyze. *)
+let conflict_level s c =
+  let len = c_size s c in
+  let lv k = s.level.(lit_var (c_lit s c k)) in
+  for i = 0 to 1 do
+    let top = ref i in
+    for k = i + 1 to len - 1 do
+      if lv k > lv !top then top := k
+    done;
+    let t = !top in
+    if t <> i then begin
+      let li = c_lit s c i and lt = c_lit s c t in
+      if t > 1 then unwatch s li c;
+      s.arena.(c + header_words + i) <- lt;
+      s.arena.(c + header_words + t) <- li;
+      if t > 1 then begin
+        let w = s.watches.(lt) in
+        vpush w c;
+        vpush w (c_lit s c (1 - i))
+      end
+    end
+  done;
+  let cl = lv 0 in
+  (cl, lv 1 < cl)
+
+(* Where a conflict at level [conflict] whose learnt clause asserts at
+   [blevel] backtracks to: the asserting level for a short jump, one
+   level below the conflict otherwise. *)
+let backtrack_level ~conflict blevel =
+  if conflict - blevel > chrono_threshold then conflict - 1 else blevel
+
 let compute_lbd s lits =
   List.length (List.sort_uniq compare (List.map (fun q -> s.level.(lit_var q)) lits))
 
@@ -872,7 +1004,12 @@ let analyze s confl =
         if s.level.(v) >= dl then incr path else learnt := q :: !learnt
       end
     done;
-    while not s.seen.(lit_var (vget s.trail !idx)) do
+    (* seen literals below the conflict level go to the clause; the
+       trail interleaves them with the ones resolved here *)
+    while
+      let v = lit_var (vget s.trail !idx) in
+      not (s.seen.(v) && s.level.(v) = dl)
+    do
       decr idx
     done;
     p := vget s.trail !idx;
@@ -892,9 +1029,9 @@ let analyze s confl =
   vshrink toclear 0;
   List.iter (fun q -> s.seen.(lit_var q) <- false) !learnt;
   let asserting = lit_neg !p in
-  (* Backjump level: highest level among the tail. *)
+  (* Asserting level: highest level among the tail. *)
   let blevel = List.fold_left (fun acc q -> max acc s.level.(lit_var q)) 0 tail in
-  (* Put a literal of the backjump level in watch position 1. *)
+  (* Put a literal of the asserting level in watch position 1. *)
   let tail =
     match List.partition (fun q -> s.level.(lit_var q) = blevel) tail with
     | q :: rest_max, rest -> q :: (rest_max @ rest)
@@ -938,9 +1075,10 @@ let reduce_db s =
   maybe_compact s
 
 (* Integrate a theory-learned clause at the current state without
-   restarting from scratch: attach it with valid watches and backjump
-   just far enough that it is no longer conflicting (then it propagates
-   like any learnt clause). *)
+   restarting from scratch: attach it with valid watches and, when it
+   is conflicting, backtrack below its conflict level as a learnt
+   clause would (then it propagates like any learnt clause, at the
+   level of its highest false literal). *)
 let integrate_core s lits =
   (* literals false at level 0 can never help *)
   let lits' =
@@ -959,7 +1097,7 @@ let integrate_core s lits =
      | -1 ->
        s.ok <- false;
        log_step s (P_rup [||])
-     | _ -> enqueue s l (-1))
+     | _ -> enqueue s l (-1) 0)
   | _ :: _ :: _ ->
     let arr = Array.of_list lits' in
     s.learnts_made <- s.learnts_made + 1;
@@ -988,10 +1126,10 @@ let integrate_core s lits =
       | 0, -1 ->
         (* asserting: propagate the single non-false literal *)
         let c = alloc_attached () in
-        enqueue s arr.(0) c;
+        enqueue s arr.(0) c s.level.(lit_var arr.(1));
         finished := true
       | -1, _ ->
-        (* conflicting (all false): backjump below the highest level *)
+        (* conflicting (all false): backtrack below the conflict level *)
         let l0 = s.level.(lit_var arr.(0)) in
         if l0 = 0 then begin
           s.ok <- false;
@@ -1000,7 +1138,7 @@ let integrate_core s lits =
         end
         else begin
           let l1 = s.level.(lit_var arr.(1)) in
-          cancel_until s (if l1 < l0 then l1 else l0 - 1)
+          cancel_until s (if l1 < l0 then backtrack_level ~conflict:l0 l1 else l0 - 1)
         end
       | _ -> assert false
     done
@@ -1040,7 +1178,7 @@ let import_clause s lits =
       cancel_until s 0;
       (* scratch decision level asserting the clause's negation *)
       vpush s.trail_lim s.trail.Vec.len;
-      List.iter (fun l -> if lit_value s l = 0 then enqueue s (lit_neg l) (-1)) lits;
+      List.iter (fun l -> if lit_value s l = 0 then enqueue s (lit_neg l) (-1) (decision_level s)) lits;
       let confl = propagate s in
       cancel_until s 0;
       if confl >= 0 then begin
@@ -1169,7 +1307,7 @@ let decide s =
   else begin
     s.decisions <- s.decisions + 1;
     vpush s.trail_lim s.trail.Vec.len;
-    enqueue s (if s.phase.(v) then pos_lit v else neg_lit v) (-1);
+    enqueue s (if s.phase.(v) then pos_lit v else neg_lit v) (-1) (decision_level s);
     true
   end
 
@@ -1227,7 +1365,7 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
       | _ ->
         s.decisions <- s.decisions + 1;
         vpush s.trail_lim s.trail.Vec.len;
-        enqueue s p (-1);
+        enqueue s p (-1) (decision_level s);
         `Propagate
     end
   in
@@ -1257,29 +1395,39 @@ let solve_body ?(assumptions = []) ?(final_check = fun (_ : t) -> [])
           s.best_phase.(lit_var l) <- lit_sign l
         done
       end;
-      if decision_level s = 0 then begin
+      let cl, single = conflict_level s confl in
+      if cl = 0 then begin
         s.ok <- false;
         log_step s (P_rup [||]);
         answer := Some Unsat
       end
+      else if single then begin
+        (* a missed lower implication: assign its one conflict-level
+           literal one level down, with the clause as its reason *)
+        cancel_until s (cl - 1);
+        enqueue s (c_lit s confl 0) confl s.level.(lit_var (c_lit s confl 1))
+      end
       else begin
+        cancel_until s cl;
         let learnt, blevel = analyze s confl in
         let glue = compute_lbd s learnt in
         s.lbd_sum <- s.lbd_sum +. float_of_int glue;
         s.ema_lbd <- s.ema_lbd +. (0.03125 *. (float_of_int glue -. s.ema_lbd));
         log_step s (P_rup (Array.of_list learnt));
-        cancel_until s blevel;
         (match learnt with
          | [] -> assert false
-         | [ l ] -> enqueue s l (-1)
+         | [ l ] ->
+           cancel_until s 0;
+           enqueue s l (-1) 0
          | l :: _ ->
+           cancel_until s (backtrack_level ~conflict:cl blevel);
            let c = alloc_clause s (Array.of_list learnt) true in
            c_set_glue s c glue;
            cla_bump s c;
            s.learnts_made <- s.learnts_made + 1;
            vpush s.learnts c;
            attach s c;
-           enqueue s l c);
+           enqueue s l c blevel);
         export_learnt s learnt glue;
         var_decay s;
         cla_decay s

@@ -1,7 +1,15 @@
 (** A CDCL SAT solver (two-watched literals, VSIDS, 1UIP learning with
-    recursive clause minimization, Luby or LBD-driven restarts,
-    LBD-scored learnt-clause deletion), solvable incrementally under
-    assumptions (MiniSat style).
+    recursive clause minimization, chronological backtracking, Luby or
+    LBD-driven restarts, LBD-scored learnt-clause deletion), solvable
+    incrementally under assumptions (MiniSat style).
+
+    When the jump back to a learnt clause's asserting level would cross
+    many levels, the solver instead backtracks one level below the
+    conflict level and assigns the asserting literal out of order, at
+    its true level, rather than re-propagating everything above that
+    level.  The trail is therefore not sorted by level; backtracking
+    keeps the lower-level literals above the cut and re-pushes them
+    there.
 
     Literals are integers: variable [v]'s positive literal is [2*v] and
     its negative literal is [2*v+1].  Variables are allocated with
@@ -209,9 +217,12 @@ val solve :
     the current {e partial} assignment (after propagation); any conflict
     clause over currently-assigned literals prunes the search early.
 
-    [on_backtrack n] fires whenever the trail is truncated to length
-    [n] (backjumps and restarts), letting theory solvers pop their
-    assertion stacks in lock step with the trail. *)
+    [on_backtrack n] fires whenever the trail is cut at length [n]
+    (backtracks and restarts), letting theory solvers pop their
+    assertion stacks in lock step with the trail.  Literals at or below
+    the target level that sat above the cut stay assigned and are
+    re-pushed from position [n] on, so a theory solver that re-reads
+    the trail from [n] re-asserts them. *)
 
 val unsat_core : t -> int list
 (** After an [Unsat] answer from {!solve} with assumptions: the subset
@@ -258,6 +269,10 @@ val num_learnts : t -> int
 (** Learnt clauses created (conflict analysis and integrated theory
     lemmas), accumulated over every {!solve} call; deletion by the
     clause-database reduction does not decrease it. *)
+
+val num_chrono_backtracks : t -> int
+(** Backtracks that kept literals assigned out of order above the cut
+    (and re-pushed them), accumulated over every {!solve} call. *)
 
 val num_lbd_deletions : t -> int
 (** Learnt clauses deleted by the database reduction, which drops the

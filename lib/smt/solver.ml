@@ -65,6 +65,7 @@ type stats = {
   clauses_exported : int;
   learned_clauses : int;
   theory_rounds : int;
+  chrono_backtracks : int;
   theory_propagations : int;
   preprocessed_clauses : int;
   lbd_reductions : int;
@@ -391,6 +392,7 @@ let stats s =
     clauses_exported = Sat.num_exported sat;
     learned_clauses = Sat.num_learnts sat;
     theory_rounds = s.theory_rounds;
+    chrono_backtracks = Sat.num_chrono_backtracks sat;
     theory_propagations = s.theory_props;
     preprocessed_clauses = 0;
     lbd_reductions = Sat.num_lbd_deletions sat;

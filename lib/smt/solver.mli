@@ -65,7 +65,12 @@ type stats = {
       (** sibling-learnt clauses integrated via {!import_clause} *)
   clauses_exported : int;  (** learnt clauses handed to {!drain_exported} *)
   learned_clauses : int;  (** learnt clauses created, incl. theory lemmas *)
-  theory_rounds : int;  (** number of theory conflicts raised *)
+  theory_rounds : int;
+      (** number of theory conflicts raised (["theory_conflicts"] in the
+          report JSON) *)
+  chrono_backtracks : int;
+      (** backtracks that kept literals assigned out of order and
+          re-pushed them (chronological backtracking) *)
   theory_propagations : int;
       (** ladder lemmas pushed to the SAT core by difference-logic
           theory propagation *)

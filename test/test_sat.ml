@@ -1,5 +1,6 @@
 (* Tests for the CDCL SAT core, including a differential qcheck test
-   against a brute-force enumerator on random small CNFs. *)
+   against a brute-force enumerator on random small CNFs and a certified
+   property over random 3-CNF that drives chronological backtracking. *)
 
 module S = Smt.Sat
 
@@ -325,6 +326,84 @@ let prop_assumptions_match_fresh =
         [ a1; a2; a1 ];
       true)
 
+(* --- chronological backtracking --------------------------------------------- *)
+
+(* Random 3-CNF near the satisfiability threshold (4.26 clauses per
+   variable), each solved twice on one solver with proof logging on,
+   each time under a random (maybe empty) set of assumptions.  In half
+   of the formulas a random third of the clauses is withheld from the
+   database and handed back by [final_check] when a total assignment
+   falsifies it, as a theory solver hands back conflict clauses: after
+   the first of several such lemmas backtracks, the others assert their
+   literals below the decision level, so the search assigns out of
+   order on every such formula, not only after the rare jump longer
+   than the threshold.  A model must satisfy every clause and
+   assumption; an Unsat answer must come with a core drawn from the
+   assumptions and a trace the independent checker accepts, the
+   withheld clauses standing in for the theory that justifies lemmas. *)
+let random_3cnf_gen =
+  let open QCheck.Gen in
+  int_range 60 150 >>= fun nvars ->
+  let lit = map2 (fun v neg -> (2 * v) + if neg then 1 else 0) (int_range 0 (nvars - 1)) bool in
+  let clause = pair (list_repeat 3 lit) (int_range 0 2) in
+  let clauses = list_repeat (int_of_float (4.26 *. float_of_int nvars)) clause in
+  let assumptions = oneof [ return []; list_size (int_range 1 8) lit ] in
+  map4
+    (fun withhold clauses a1 a2 ->
+      let held, given = List.partition (fun (_, k) -> withhold && k = 0) clauses in
+      (nvars, List.map fst given, List.map fst held, [ a1; a2 ]))
+    bool clauses assumptions assumptions
+
+let prop_chronological kept =
+  QCheck.Test.make ~name:"chronological backtracking" ~count:(10 * Mutators.fuzz_count)
+    (QCheck.make
+       ~print:(fun (n, given, held, rounds) ->
+         Printf.sprintf "%d vars, %d clauses + %d withheld, assumptions %s" n (List.length given)
+           (List.length held)
+           (String.concat " / "
+              (List.map (fun a -> String.concat "," (List.map string_of_int a)) rounds)))
+       random_3cnf_gen)
+    (fun (nvars, given, held, rounds) ->
+      let s = S.create () in
+      S.enable_proof s;
+      let _ = fresh_vars s nvars in
+      List.iter (S.add_clause s) given;
+      let falsified s c = List.for_all (fun l -> not (S.value_lit s l)) c in
+      let final_check s = List.filter (falsified s) held in
+      let held_sets = List.map (List.sort_uniq compare) held in
+      let theory lemma =
+        if List.mem (Array.to_list lemma) held_sets then Ok () else Error "not a withheld clause"
+      in
+      List.iteri
+        (fun round assumptions ->
+          match S.solve ~assumptions ~final_check s with
+          | S.Sat ->
+            if not (List.for_all (List.exists (S.value_lit s)) (given @ held)) then
+              QCheck.Test.fail_reportf "round %d: a clause is unsatisfied" round;
+            if not (List.for_all (S.value_lit s) assumptions) then
+              QCheck.Test.fail_reportf "round %d: an assumption is unsatisfied" round
+          | S.Unsat ->
+            List.iter
+              (fun l ->
+                if not (List.mem l assumptions) then
+                  QCheck.Test.fail_reportf "round %d: core literal %d not assumed" round l)
+              (S.unsat_core s);
+            (match
+               Proof.Checker.run ~theory ~goal:(Proof.Checker.Assumptions assumptions)
+                 (S.proof_steps s)
+             with
+             | Ok _ -> ()
+             | Error e -> QCheck.Test.fail_reportf "round %d: proof rejected: %s" round e))
+        rounds;
+      kept := !kept + S.num_chrono_backtracks s;
+      true)
+
+(* The property must exercise the out-of-order path, not just pass. *)
+let test_chronological () =
+  let kept = ref 0 in
+  QCheck.Test.check_exn ~rand:(QCheck_base_runner.random_state ()) (prop_chronological kept);
+  if !kept = 0 then Alcotest.fail "no backtrack kept an out-of-order literal"
+
 let () =
   Alcotest.run "sat"
     [
@@ -352,5 +431,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_assumptions_match_fresh;
+          Alcotest.test_case "chronological backtracking" `Quick test_chronological;
         ] );
     ]

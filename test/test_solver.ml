@@ -3,8 +3,10 @@
    well-formed counterexamples on the enterprise and fattree suites; a
    QCheck differential pits the portfolio's strategy variants against
    the concrete routing simulator; a regression test pins down that
-   early-SAT detection leaves theory atoms open for the theory; and
-   the clause-sharing tests check export and certified import. *)
+   early-SAT detection leaves theory atoms open for the theory; the
+   clause-sharing tests check export and certified import; pinned
+   search counts guard the search itself; and the fleet's hardest
+   network is verified with certificates. *)
 
 module MS = Minesweeper
 
@@ -295,9 +297,12 @@ let test_import_non_rup_dropped () =
 (* -- pinned search ------------------------------------------------------------ *)
 
 (* Conflicts, decisions and propagations of fixed queries, pinned to the
-   values the solver produced before its loops read the vectors in
-   place.  A change meant only to make the SAT kernel faster must leave
-   the search itself, and so every one of these counts, unchanged. *)
+   values the solver produces with chronological backtracking.  The pins
+   moved when the core stopped jumping back to the asserting level
+   after every conflict: that changes which assignments the search
+   visits, and so all three counts.  A change meant only to make the SAT
+   kernel faster must leave the search itself, and so every one of these
+   counts, unchanged. *)
 let search_counts (r : MS.Verify.Report.t) =
   let st = r.MS.Verify.Report.stats in
   (st.Smt.Solver.conflicts, st.Smt.Solver.decisions, st.Smt.Solver.propagations)
@@ -318,9 +323,9 @@ let test_pinned_fattree_session () =
   List.iter
     (fun (dst, expected) -> check_counts ("reach->" ^ dst) expected (MS.Verify.Session.run_one s (reach dst)))
     [
-      ("tor_0_0", (1942, 8521, 386772));
-      ("tor_3_1", (1035, 2885, 216277));
-      ("tor_1_0", (838, 1844, 163057));
+      ("tor_0_0", (2204, 7371, 420526));
+      ("tor_3_1", (1307, 2642, 258653));
+      ("tor_1_0", (910, 1852, 197198));
     ]
 
 let test_pinned_enterprise_mgmt () =
@@ -338,7 +343,69 @@ let test_pinned_enterprise_mgmt () =
           (MS.Property.Subnet (last, t.G.Enterprise.mgmt_prefix last)))
   in
   let s = MS.Verify.Session.of_encoding (MS.Encode.build net MS.Options.default) in
-  check_counts "mgmt-reachability" (176, 11049, 108661) (MS.Verify.Session.run_one s q)
+  check_counts "mgmt-reachability" (119, 3403, 42884) (MS.Verify.Session.run_one s q)
+
+(* -- certified worst case ----------------------------------------------------- *)
+
+(* The hardest network of the seed-1 fleet audit (schedule index 18:
+   24 routers, a hijack injected, generator seed 1018), built as the
+   fleet-audit benchmark builds it: printed, parsed back, encoded under
+   the default options and asked its three questions on one session.
+   Every verdict must carry a checked certificate and match the
+   injection label, and the search must have taken the out-of-order
+   path and hit theory conflicts, so the certificates cover both. *)
+let test_certified_fleet_worst () =
+  let routers = 24 in
+  let t =
+    G.Enterprise.make ~bulk:(8 + (routers * 15)) ~seed:1018 ~routers
+      ~inject:{ G.Enterprise.no_bugs with G.Enterprise.hijack = true }
+      ()
+  in
+  let net = parse (Config.Printer.network_to_string t.G.Enterprise.network) in
+  let devices = List.map (fun (d : A.device) -> d.A.dev_name) net.A.net_devices in
+  let last = List.nth devices (List.length devices - 1) in
+  let queries =
+    let q = MS.Verify.Query.v in
+    [
+      ( q "mgmt-reachability" (fun enc ->
+            MS.Property.reachability enc ~sources:devices
+              (MS.Property.Subnet (last, t.G.Enterprise.mgmt_prefix last))),
+        true );
+      ( q "no-blackholes" (fun enc ->
+            MS.Property.no_blackholes enc
+              ~allowed:(t.G.Enterprise.edge_routers @ t.G.Enterprise.rack_role)
+              ()),
+        false );
+    ]
+    @
+    match t.G.Enterprise.rack_role with
+    | r1 :: r2 :: _ ->
+      [ (q "acl-equivalence" (fun enc -> MS.Property.acl_equivalence enc r1 r2), false) ]
+    | _ -> Alcotest.fail "the worst fleet network has two rack routers"
+  in
+  let s =
+    MS.Verify.Session.of_encoding (MS.Encode.build net (MS.Options.with_certify MS.Options.default))
+  in
+  let chrono = ref 0 and theory = ref 0 in
+  List.iter
+    (fun ((q : MS.Verify.Query.t), violated) ->
+      let r = MS.Verify.Session.run_one s q in
+      let label = r.MS.Verify.Report.label in
+      (match r.MS.Verify.Report.certificate with
+       | MS.Verify.Report.Checked_unsat_proof _ | MS.Verify.Report.Checked_model -> ()
+       | c -> Alcotest.failf "%s: certificate %s" label (MS.Verify.Report.certificate_name c));
+      let got =
+        match r.MS.Verify.Report.verdict with
+        | MS.Verify.Report.Violated _ -> true
+        | MS.Verify.Report.Verified -> false
+        | v -> Alcotest.failf "%s: verdict %s" label (MS.Verify.Report.verdict_name v)
+      in
+      Alcotest.(check bool) (label ^ " matches its injection label") violated got;
+      chrono := !chrono + r.MS.Verify.Report.stats.Smt.Solver.chrono_backtracks;
+      theory := !theory + r.MS.Verify.Report.stats.Smt.Solver.theory_rounds)
+    queries;
+  if !chrono = 0 then Alcotest.fail "no chronological backtrack kept a literal";
+  if !theory = 0 then Alcotest.fail "no theory conflict was raised"
 
 let () =
   Alcotest.run "solver"
@@ -363,5 +430,7 @@ let () =
           Alcotest.test_case "enterprise management reachability" `Quick
             test_pinned_enterprise_mgmt;
         ] );
+      ( "certified-worst-case",
+        [ Alcotest.test_case "fleet net 18 (24 routers)" `Quick test_certified_fleet_worst ] );
       ("oracle", [ QCheck_alcotest.to_alcotest prop_strategy_oracle ]);
     ]
