@@ -11,12 +11,10 @@
 # against the uncertified pass), and the symmetry-scale smoke
 # benchmark (the quotient encoding must agree with the full encoding
 # on every fat-tree point both modes ran — as must Ema_lbd vs Luby
-# restarts and the clause-sharing portfolio vs the sharing-off race —
-# with the speedup gated above a noise floor only where symmetry
-# classes actually collapse devices; clause sharing must demonstrably
-# fire on the full encoding, the winner importing at least one
-# clause; full-mode points past the wall-clock budget are skipped
-# with an explicit label), and the arena smoke benchmark (the
+# restarts — with the speedup gated above a noise floor only where
+# symmetry classes actually collapse devices; a Luby-restart solve of
+# the full encoding must agree with the session; full-mode points past
+# the wall-clock budget are skipped with an explicit label), and the arena smoke benchmark (the
 # SAT core's steady-state propagation loop must allocate ~0 minor
 # words per propagation, a fresh solver and an incremental session
 # must agree on the hardest query, and the arena-compaction path must
@@ -26,11 +24,11 @@
 # re-verification on every step, show non-zero replay and cache-hit
 # counters, and be at least 2x faster than the cold path when the
 # diff touches <= 20% of the devices), and the fault smoke benchmark
-# (the hybrid graph-min-cut/SMT race must agree with the two-copy SMT
-# encoding alone on every <=k-failure query of both generators, the
-# graph fast path must decide at least one query, and the hybrid must
-# be at least 2x faster than SMT on the graph-decided subset above a
-# noise floor).
+# (the hybrid, graph min-cut first and SMT when it declines, must
+# agree with the two-copy SMT encoding alone on every <=k-failure
+# query of both generators, the graph fast path must decide at least
+# one query, and the hybrid must be at least 2x faster than SMT on the
+# graph-decided subset above a noise floor).
 
 .PHONY: all build test lint fuzz coverage bench-smoke bench-solver-smoke certify-smoke bench-scale-smoke bench-arena-smoke bench-serve-smoke bench-fault-smoke check clean
 

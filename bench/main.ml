@@ -32,15 +32,14 @@
                  checkpoints each completed point to
                  BENCH_scale.rows.jsonl, restored by --resume.
                  Verdict agreement (quotient vs full, Ema_lbd vs Luby
-                 restarts, clause sharing vs off) is gated on every
-                 completed point; once one full-mode point blows the
+                 restarts) is gated on every completed point; once one full-mode point blows the
                  wall-clock budget the remaining full points are
                  skipped with an explicit label (the quotient points
                  always run to 405 routers).  The quotient ratio is a
                  gated speedup only where classes actually collapse
                  devices, and labelled overhead elsewhere; --smoke
-                 additionally gates clause sharing firing on the full
-                 encoding
+                 additionally gates a Luby-restart solve of the full
+                 encoding against the session's verdict
      arena       memory behavior of the arena SAT core: steady-state
                  minor-heap allocation per propagation on a long
                  implication chain, the hardest query's arena
@@ -57,9 +56,9 @@
                  non-zero replay/cache-hit counters and a 2x speedup
                  floor for diffs touching <= 20% of the devices
      fault       <=k-failure invariance (k in {1,2,3}) on both
-                 generators, answered twice: the hybrid engine (graph
-                 min-cut fast path racing the two-copy SMT encoding)
-                 vs the SMT encoding alone; writes BENCH_fault.json.
+                 generators, answered twice: the hybrid (graph
+                 min-cut fast path first, the two-copy SMT encoding
+                 when it declines) vs the SMT encoding alone; writes BENCH_fault.json.
                  Cross-path verdict agreement is always gated;
                  --smoke additionally gates the graph path deciding
                  at least one query and a 2x hybrid speedup on the
@@ -844,21 +843,17 @@ let certify_bench ~smoke () =
    sweep killed at pods=14 does not re-earn pods=10.
 
    Gates.  Verdict agreement is required on every completed point, in
-   three directions: quotient vs full, Ema_lbd vs Luby restarts (on
-   the point's quotient instance), and the clause-sharing portfolio vs
-   the sharing-off race (ditto).  The quotient-vs-full ratio is
+   two directions: quotient vs full, and Ema_lbd vs Luby restarts (on
+   the point's quotient instance).  The quotient-vs-full ratio is
    labelled "speedup" only where the quotient actually collapsed
    devices; at pods=2 a pinned destination leaves every class a
    singleton, the quotient is pure bookkeeping, and the ratio is
    labelled "overhead" instead of pretending 0.86x is a win.  The
    >= 2x gate applies at the largest size where both modes completed
    AND the reduction is real, above a noise floor.  --smoke
-   additionally exercises the new solver machinery end-to-end on the
-   full (non-quotient) encoding: a fresh Luby-restart solve must agree
-   with the session's adaptive-restart verdict at every smoke point,
-   and at the largest smoke point the clause-sharing portfolio's
-   winner must report clauses_imported > 0 and agree with the
-   session. *)
+   additionally checks the full (non-quotient) encoding: a fresh
+   Luby-restart solve must agree with the session's adaptive-restart
+   verdict at every smoke point. *)
 
 type scale_row = {
   sr_pods : int;
@@ -984,13 +979,9 @@ let scale ~smoke ~resume () =
        Printf.sprintf "; resuming past %d checkpointed point(s)" (List.length prior)
      else "");
   let off_exhausted = ref (List.exists (fun r -> r.sr_exhausted_after) prior) in
-  (* smoke-only end-to-end checks of the new solver machinery on the
-     full (non-quotient) encoding *)
+  (* smoke-only check of the full (non-quotient) encoding *)
   let smoke_luby_agree = ref true in
-  let smoke_share_imported = ref 0 in
-  let smoke_share_agree = ref true in
   let quote = Msutil.Json.quote in
-  let largest_size = List.fold_left max 0 sizes in
   let measure pods =
     let ft = G.Fattree.make ~pods in
     let net = ft.G.Fattree.network in
@@ -1058,26 +1049,12 @@ let scale ~smoke ~resume () =
       quotient_verdict_under { dstrat with Smt.Solver.restart_mode = Smt.Solver.Ema_lbd }
     in
     let modes_agree = v_luby = v_ema && v_luby = List.assoc dst0 on_verdicts in
-    (* sharing agreement on the same instance: the clause-sharing
-       portfolio and the sharing-off race against the sequential
-       verdict *)
-    let q0 =
-      MS.Verify.Query.v "all-tor"
-        (fun enc ->
-          MS.Property.reachability enc
-            ~sources:(MS.Encode.project_devices enc (srcs_of dst0))
-            (dest_of dst0))
-    in
+    if not modes_agree then
+      Printf.printf "   pods=%-2d !! quotient cross-checks diverge (luby %s, ema %s)\n%!" pods
+        v_luby v_ema;
     let verdict_of (r : MS.Verify.Report.t) =
       MS.Verify.Report.verdict_name r.MS.Verify.Report.verdict
     in
-    let v_share = verdict_of (Engine.portfolio ~share:true enc_on0 q0) in
-    let v_solo = verdict_of (Engine.portfolio ~share:false enc_on0 q0) in
-    let share_agree = v_share = v_solo && v_share = List.assoc dst0 on_verdicts in
-    if not (modes_agree && share_agree) then
-      Printf.printf
-        "   pods=%-2d !! quotient cross-checks diverge (luby %s, ema %s, share %s, solo %s)\n%!"
-        pods v_luby v_ema v_share v_solo;
     (* -- full side: one incremental session answers the whole set -- *)
     let off =
       if !off_exhausted then begin
@@ -1133,30 +1110,7 @@ let scale ~smoke ~resume () =
               (MS.Property.reachability enc_luby ~sources:(srcs_of dst0) (dest_of dst0))
           in
           if outcome_str o_luby <> List.assoc dst0 off_verdicts then
-            smoke_luby_agree := false;
-          (* clause sharing must actually fire on a conflict-heavy full
-             encoding: race a diverse strategy subset on the largest
-             smoke point and require the winner to have imported *)
-          if pods = largest_size then begin
-            let strats =
-              List.filteri (fun i _ -> i = 0 || i = 1 || i = 2 || i = 6) MS.Options.portfolio
-            in
-            let q =
-              MS.Verify.Query.v "all-tor-share"
-                (fun enc ->
-                  MS.Property.reachability enc ~sources:(srcs_of dst0) (dest_of dst0))
-            in
-            let attempts = 3 in
-            let rec go i =
-              let r = Engine.portfolio ~strategies:strats ~share:true enc_off q in
-              let imported = r.MS.Verify.Report.stats.Smt.Solver.clauses_imported in
-              if verdict_of r <> List.assoc dst0 off_verdicts then
-                smoke_share_agree := false;
-              if imported > 0 then smoke_share_imported := imported
-              else if i < attempts then go (i + 1)
-            in
-            go 1
-          end
+            smoke_luby_agree := false
         end;
         Some (off_encode_ms, reports, cold, warm, off_total, off_verdict, full_agree, off_pps)
       end
@@ -1209,9 +1163,9 @@ let scale ~smoke ~resume () =
          \"solve_ms\": %.2f, \"total_ms\": %.2f, \"verdict\": %s, \"devices_encoded\": %d, \
          \"classes\": %d, \"propagations_per_sec\": %.0f, \"queries\": [ %s ] },\n      \
          \"symmetry_off\": %s,\n      \"agreement\": { \"quotient_vs_full\": %b, \
-         \"ema_vs_luby\": %b, \"share_vs_solo\": %b }%s }"
+         \"ema_vs_luby\": %b }%s }"
         pods routers on_encode_ms on_solve_ms on_total (quote on_verdict) q_devices classes
-        on_pps on_queries_json off_json full_agree modes_agree share_agree ratio_part
+        on_pps on_queries_json off_json full_agree modes_agree ratio_part
     in
     let ratio, ratio_kind =
       if not has_off then (0.0, "n/a")
@@ -1222,7 +1176,7 @@ let scale ~smoke ~resume () =
       sr_pods = pods;
       sr_routers = routers;
       sr_reduced = reduced;
-      sr_agree = modes_agree && share_agree && full_agree;
+      sr_agree = modes_agree && full_agree;
       sr_has_off = has_off;
       sr_ratio = ratio;
       sr_ratio_kind = ratio_kind;
@@ -1256,7 +1210,7 @@ let scale ~smoke ~resume () =
   print_endline "   wrote BENCH_scale.json";
   if not agree_everywhere then begin
     prerr_endline
-      "bench scale: verdict divergence (quotient vs full, restart modes, or clause sharing)";
+      "bench scale: verdict divergence (quotient vs full, or restart modes)";
     exit 1
   end;
   (* the ratio is only signal when the full-mode point is slow enough
@@ -1295,20 +1249,7 @@ let scale ~smoke ~resume () =
         "bench-scale-smoke: Luby vs adaptive-restart verdict divergence on the full encoding";
       exit 1
     end;
-    if not !smoke_share_agree then begin
-      prerr_endline "bench-scale-smoke: clause-sharing portfolio verdict divergence";
-      exit 1
-    end;
-    if !smoke_share_imported = 0 then begin
-      prerr_endline
-        "bench-scale-smoke: clause sharing never fired (winner imported 0 clauses in 3 \
-         attempts)";
-      exit 1
-    end;
-    Printf.printf
-      "   smoke OK: restart modes agree on the full encoding; sharing fired (winner \
-       imported %d clauses)\n%!"
-      !smoke_share_imported
+    print_endline "   smoke OK: restart modes agree on the full encoding"
   end
 
 (* ---------------- arena memory behavior ---------------- *)
@@ -1677,13 +1618,13 @@ let serve_bench ~smoke () =
 (* ---------------- fault: k-failure invariance, hybrid vs SMT ---------------- *)
 
 (* Every query is answered twice: by [Faults.hybrid] (the graph min-cut
-   fast path racing the two-copy SMT encoding inside the portfolio) and
-   by the two-copy SMT encoding alone.  Cross-path verdict agreement is
+   fast path first, the two-copy SMT encoding only when it declines)
+   and by the two-copy SMT encoding alone.  Cross-path verdict agreement is
    the differential gate; the speedup gate only counts the subset the
    graph path actually decided, because that is the only subset where
    the fast path can claim credit. *)
 let fault_bench ~smoke () =
-  print_endline "== fault: <=k-failure invariance, hybrid (graph + SMT race) vs SMT alone ==";
+  print_endline "== fault: <=k-failure invariance, hybrid (graph, then SMT) vs SMT alone ==";
   let ks = [ 1; 2; 3 ] in
   let pods_list = if !full then [ 2; 4; 6 ] else [ 2; 4 ] in
   let fattree_cases =
@@ -1711,8 +1652,8 @@ let fault_bench ~smoke () =
   in
   let enterprise_cases =
     (* OSPF-internal networks are ineligible for the graph path by
-       design, so these rows exercise the fall-back-to-SMT leg of the
-       race; k is capped in smoke mode because each verdict is solved
+       design, so these rows exercise the hybrid's fall-back-to-SMT
+       leg; k is capped in smoke mode because each verdict is solved
        twice on a doubled encoding. *)
     List.map
       (fun (label, inject) ->

@@ -114,15 +114,6 @@ let verify_cmd =
             "Per-query wall-clock budget. A query past its budget is cancelled and reported \
              as $(b,timeout) (exit status 3); the remaining queries still run.")
   in
-  let portfolio =
-    Arg.(
-      value & flag
-      & info [ "portfolio" ]
-          ~doc:
-            "Race the solver-strategy portfolio (restart cadence, activity decay, branching \
-             polarity variants) on each query, one process per strategy, and keep the first \
-             decisive answer. Useful for one hard query.")
-  in
   let format =
     Arg.(
       value
@@ -156,7 +147,7 @@ let verify_cmd =
              must stay concrete.")
   in
   let run file property sources dst_device dst_prefix bound devices max_len failures
-        max_failures naive no_lint allowed batch timeout portfolio format certify symmetry =
+        max_failures naive no_lint allowed batch timeout format certify symmetry =
     let net = load_network file in
     let opts = opts_of naive failures in
     let opts = if no_lint then { opts with MS.Options.preflight_lint = false } else opts in
@@ -183,12 +174,6 @@ let verify_cmd =
                | Some m -> Printf.sprintf "  [%s]" (MS.Verify.Report.method_name m)
                | None -> ""
              in
-             let tag =
-               match r.MS.Verify.Report.strategy with
-               | Some s when meth_tag = Printf.sprintf "  [%s]" s -> ""
-               | Some s -> Printf.sprintf "  [%s]" s
-               | None -> ""
-             in
              let cert_tag =
                match r.MS.Verify.Report.certificate with
                | MS.Verify.Report.Uncertified -> ""
@@ -197,8 +182,8 @@ let verify_cmd =
                | MS.Verify.Report.Checked_model -> "  [model replayed]"
                | MS.Verify.Report.Certification_failed _ -> "  [CERTIFICATION FAILED]"
              in
-             Printf.printf "  %-36s %-9s %8.1f ms%s%s%s\n%!" r.MS.Verify.Report.label display
-               r.MS.Verify.Report.wall_ms meth_tag tag cert_tag;
+             Printf.printf "  %-36s %-9s %8.1f ms%s%s\n%!" r.MS.Verify.Report.label display
+               r.MS.Verify.Report.wall_ms meth_tag cert_tag;
              (match r.MS.Verify.Report.certificate with
               | MS.Verify.Report.Certification_failed msg ->
                 Printf.printf "    certification: %s\n" msg
@@ -216,9 +201,9 @@ let verify_cmd =
            (count (is "timeout")) (count (is "error")));
       exit code
     in
-    (* fault-invariance sweeps build their own two-copy encodings per k
-       and race the graph fast path inside the portfolio, so they skip
-       the shared-encoding pipeline below *)
+    (* fault-invariance sweeps try the graph fast path and build their
+       own two-copy encodings per k, so they skip the shared-encoding
+       pipeline below *)
     (match property with
      | `Fault ->
        if batch <> None then begin
@@ -369,10 +354,8 @@ let verify_cmd =
     end;
     let t0 = Unix.gettimeofday () in
     let reports =
-      if portfolio then List.map (fun q -> Engine.portfolio ?timeout enc q) queries
-      else
-        MS.Verify.Session.run (MS.Verify.Session.of_encoding enc)
-          (List.map (MS.Verify.Query.with_default_timeout timeout) queries)
+      MS.Verify.Session.run (MS.Verify.Session.of_encoding enc)
+        (List.map (MS.Verify.Query.with_default_timeout timeout) queries)
     in
     finish t0 reports
   in
@@ -392,7 +375,7 @@ let verify_cmd =
     Term.(
       const run $ file_arg $ property $ sources $ dst_device $ dst_prefix $ bound $ devices
       $ max_len $ failures $ max_failures $ naive $ no_lint $ allowed $ batch $ timeout
-      $ portfolio $ format $ certify $ symmetry)
+      $ format $ certify $ symmetry)
 
 (* ---- lint ---- *)
 

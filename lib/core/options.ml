@@ -50,11 +50,9 @@ type t = {
   strategy : Smt.Solver.strategy;
       (** SAT search strategy (VSIDS decay, restart cadence, branching
           polarity) used by every solver created for this encoding.
-          Any strategy yields the same verdicts; the portfolio engine
-          races the {!portfolio} variants on one hard query.  The
-          solver has no other knobs: it always runs theory propagation,
-          LBD clause management and full Tseitin CNF (see
-          {!Smt.Solver.create}). *)
+          Any strategy yields the same verdicts.  The solver has no
+          other knobs: it always runs theory propagation, LBD clause
+          management and full Tseitin CNF (see {!Smt.Solver.create}). *)
   certify : bool;
       (** Certify every verdict independently: solvers record a
           DRAT-style proof trace, Unsat answers are replayed through the
@@ -97,25 +95,3 @@ let with_failures k t = { t with max_failures = Some k }
 let with_symmetry t = { t with symmetry = true }
 let with_strategy st t = { t with strategy = st }
 let with_certify t = { t with certify = true }
-
-(* Named search-strategy variants for portfolio solving: very different
-   restart policies and branching polarities explore the search space in
-   different orders, so racing them on one hard query and keeping the
-   first answer routinely beats any fixed choice.  All variants are
-   sound and complete — only wall time differs.  The list deliberately
-   covers both restart modes and both rephasing settings: with clause
-   sharing on, diversity is what gives the exchanged clauses value. *)
-let portfolio : (string * Smt.Solver.strategy) list =
-  let d = Smt.Solver.default_strategy in
-  [
-    ("default",
-     { d with Smt.Solver.restart_mode = Smt.Solver.Ema_lbd; rephase = true });
-    ("luby-restarts", d);
-    ("ema-restarts", { d with Smt.Solver.restart_mode = Smt.Solver.Ema_lbd });
-    ("luby-rephase", { d with Smt.Solver.rephase = true });
-    ("agile-restarts", { d with Smt.Solver.restart_base = 25 });
-    ("focused-decay",
-     { d with Smt.Solver.var_decay = 0.85;
-       restart_mode = Smt.Solver.Ema_lbd; rephase = true });
-    ("positive-phase", { d with Smt.Solver.default_phase = true; rephase = true });
-  ]

@@ -42,9 +42,7 @@ module Report = struct
      (theory lemmas re-justified by fresh Idl/Simplex runs) and found to
      derive the refutation.  [Checked_model]: the satisfying assignment
      re-evaluated over the original terms and the decoded counterexample
-     replayed through the concrete routing simulator.  All fields are
-     plain data, so certificates survive marshalling across the
-     {!Engine} worker boundary. *)
+     replayed through the concrete routing simulator. *)
   type certificate =
     | Uncertified
     | Checked_unsat_proof of { trace_steps : int; clauses : int; lemmas : int }
@@ -66,8 +64,6 @@ module Report = struct
     stats : Solver.stats;
         (* per-query solver work: absolute for a fresh solver, the
            delta over the enclosing session otherwise *)
-    worker : int;  (* 0 = in-process; portfolio racers count from 1 *)
-    strategy : string option;  (* winning variant, in portfolio mode *)
     support : string list option;
         (* Verified verdicts from a support-tracking session: the
            devices whose assumption guards appear in the final-conflict
@@ -78,8 +74,7 @@ module Report = struct
         (* the verdict was replayed from a cache (core-disjoint delta
            re-verification), not produced by a solver run *)
     method_ : meth option;
-        (* which fault-workload path answered; plain data, so it
-           survives marshalling across the {!Engine} worker boundary *)
+        (* which fault-workload path answered *)
   }
 
   (* The JSON schema version stamped on every report, bench file and
@@ -121,8 +116,6 @@ module Report = struct
       ema_restarts = 0;
       blocked_restarts = 0;
       rephases = 0;
-      clauses_imported = 0;
-      clauses_exported = 0;
       learned_clauses = 0;
       theory_rounds = 0;
       chrono_backtracks = 0;
@@ -142,8 +135,6 @@ module Report = struct
       certificate = Uncertified;
       wall_ms = 0.0;
       stats = empty_stats;
-      worker = 0;
-      strategy = None;
       support = None;
       replayed = false;
       method_ = None;
@@ -162,11 +153,8 @@ module Report = struct
     let buf = Buffer.create 256 in
     Buffer.add_string buf
       (Printf.sprintf
-         "{\"schema\":%d,\"label\":\"%s\",\"verdict\":\"%s\",\"wall_ms\":%.2f,\"worker\":%d"
-         schema_version (Msutil.Json.escape r.label) (verdict_name r.verdict) r.wall_ms r.worker);
-    (match r.strategy with
-     | Some s -> Buffer.add_string buf (Printf.sprintf ",\"strategy\":\"%s\"" (Msutil.Json.escape s))
-     | None -> ());
+         "{\"schema\":%d,\"label\":\"%s\",\"verdict\":\"%s\",\"wall_ms\":%.2f"
+         schema_version (Msutil.Json.escape r.label) (verdict_name r.verdict) r.wall_ms);
     if r.replayed then Buffer.add_string buf ",\"replayed\":true";
     (match r.method_ with
      | Some m -> Buffer.add_string buf (Printf.sprintf ",\"method\":\"%s\"" (method_name m))
@@ -218,12 +206,11 @@ module Report = struct
             (Msutil.Json.escape msg)));
     Buffer.add_string buf
       (Printf.sprintf
-         ",\"stats\":{\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\"learned_clauses\":%d,\"restarts\":%d,\"ema_restarts\":%d,\"blocked_restarts\":%d,\"rephases\":%d,\"clauses_imported\":%d,\"clauses_exported\":%d,\"theory_propagations\":%d,\"theory_conflicts\":%d,\"chrono_backtracks\":%d,\"preprocessed_clauses\":%d,\"lbd_reductions\":%d,\"decisions_per_conflict\":%.2f,\"arena_bytes\":%d,\"arena_compactions\":%d,\"minor_words\":%.0f}}"
+         ",\"stats\":{\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\"learned_clauses\":%d,\"restarts\":%d,\"ema_restarts\":%d,\"blocked_restarts\":%d,\"rephases\":%d,\"theory_propagations\":%d,\"theory_conflicts\":%d,\"chrono_backtracks\":%d,\"preprocessed_clauses\":%d,\"lbd_reductions\":%d,\"decisions_per_conflict\":%.2f,\"arena_bytes\":%d,\"arena_compactions\":%d,\"minor_words\":%.0f}}"
          r.stats.Solver.conflicts r.stats.Solver.decisions r.stats.Solver.propagations
          r.stats.Solver.learned_clauses r.stats.Solver.restarts
          r.stats.Solver.ema_restarts r.stats.Solver.blocked_restarts
-         r.stats.Solver.rephases r.stats.Solver.clauses_imported
-         r.stats.Solver.clauses_exported
+         r.stats.Solver.rephases
          r.stats.Solver.theory_propagations r.stats.Solver.theory_rounds
          r.stats.Solver.chrono_backtracks r.stats.Solver.preprocessed_clauses
          r.stats.Solver.lbd_reductions
@@ -235,8 +222,8 @@ module Report = struct
   let list_to_json rs =
     "[\n    " ^ String.concat ",\n    " (List.map to_json rs) ^ "\n  ]"
 
-  (* Uniform process exit codes (single, batch and portfolio mode):
-     0 every query holds, 1 any violation, 3 any timeout or worker
+  (* Uniform process exit codes (single query or batch):
+     0 every query holds, 1 any violation, 3 any timeout or query
      error, 4 any certification failure (2 is reserved for usage/parse
      errors, signalled before any query runs).  A violation dominates a
      timeout: it is the stronger, actionable answer.  A certification
@@ -358,10 +345,9 @@ module Session = struct
 
   (* A session is a single-process object: the solver's assumption
      stack, activation-literal counter and proof trace all live in this
-     process's heap.  Using one from a child after an [Engine]-style
-     fork silently diverges the parent's and child's views of the
-     activation literals and corrupts later verdicts, so fail fast
-     instead. *)
+     process's heap.  Using one from a child after a fork silently
+     diverges the parent's and child's views of the activation literals
+     and corrupts later verdicts, so fail fast instead. *)
   let guard_owner s =
     if Unix.getpid () <> s.sh.owner then
       invalid_arg
@@ -381,12 +367,12 @@ module Session = struct
       Hashtbl.replace sh.slices d ((terms, g) :: known);
       (d, g)
 
-  let of_encoding ?strategy ?(support = false) enc =
+  let of_encoding ?(support = false) enc =
     let opts = Encode.options enc in
-    let strategy =
-      match strategy with Some st -> st | None -> opts.Options.strategy
+    let solver =
+      Solver.create ~incremental:true ~certify:opts.Options.certify
+        ~strategy:opts.Options.strategy ()
     in
-    let solver = Solver.create ~incremental:true ~certify:opts.Options.certify ~strategy () in
     let unscoped, slices = if support then split enc else (Encode.assertions enc, []) in
     List.iter (Solver.assert_term solver) unscoped;
     let sh =
@@ -438,7 +424,6 @@ module Session = struct
   let create ?support net opts = of_encoding ?support (Encode.build net opts)
   let encoding s = s.enc
   let queries s = s.sh.next
-  let solver s = s.sh.solver
   let stats s = Solver.stats s.sh.solver
   let last_support s = s.last_support
   let live_guards s = s.sh.guards_made
@@ -490,8 +475,6 @@ module Session = struct
       ema_restarts = b.Solver.ema_restarts - a.Solver.ema_restarts;
       blocked_restarts = b.Solver.blocked_restarts - a.Solver.blocked_restarts;
       rephases = b.Solver.rephases - a.Solver.rephases;
-      clauses_imported = b.Solver.clauses_imported - a.Solver.clauses_imported;
-      clauses_exported = b.Solver.clauses_exported - a.Solver.clauses_exported;
       learned_clauses = b.Solver.learned_clauses - a.Solver.learned_clauses;
       theory_rounds = b.Solver.theory_rounds - a.Solver.theory_rounds;
       chrono_backtracks = b.Solver.chrono_backtracks - a.Solver.chrono_backtracks;
@@ -614,7 +597,7 @@ let equivalent ?timeout net1 net2 opts =
   two_copy_check ?timeout ~label:"equivalent" enc1 enc2 ~extra_assumptions:[]
     ~goal:(T.and_ (fwd_equal @ exports_equal))
 
-let fault_invariant_query ?timeout ?label net opts ~k ~sources dest =
+let fault_invariant ?timeout ?label net opts ~k ~sources dest =
   let label =
     match label with Some l -> l | None -> Printf.sprintf "fault-invariant k=%d" k
   in
@@ -635,17 +618,11 @@ let fault_invariant_query ?timeout ?label net opts ~k ~sources dest =
       Property.instrumentation = Encode.assertions enc2 @ defs1 @ defs2;
       assumptions =
         packets_equal enc1 enc2 @ envs_equal enc1 enc2
-        @ Property.(
-            let p1 = (reachability enc1 ~sources dest).assumptions in
-            p1);
+        @ (Property.reachability enc1 ~sources dest).Property.assumptions;
       goal;
     }
   in
-  (enc1, Query.of_property ?timeout label prop)
-
-let fault_invariant ?timeout ?label net opts ~k ~sources dest =
-  let enc1, q = fault_invariant_query ?timeout ?label net opts ~k ~sources dest in
-  let r = run_query enc1 q in
+  let r = run_query enc1 (Query.of_property ?timeout label prop) in
   { r with Report.method_ = Some Report.Smt }
 
 (* -- the versioned serve protocol ------------------------------------------- *)

@@ -1,7 +1,7 @@
 (** Top-level verification: the {!Query}/{!Report} API.
 
     Every verification path — one-shot {!run_query}, incremental
-    {!Session}s, portfolio racing, the serve daemon — answers
+    {!Session}s, the serve daemon — answers
     labelled {!Query.t}s with uniform {!Report.t}s.
     A query asserts the network semantics, the property's
     instrumentation and assumptions, and the negation of its goal.
@@ -15,9 +15,9 @@ type outcome = Holds | Violation of Counterexample.t
     extracts it from a report. *)
 
 (** A labelled property query: the unit of work of every verification
-    path (sequential sessions, portfolio racing, the serve daemon).
-    The property is a thunk over the encoding so the same query can be
-    replayed against each racer's own session. *)
+    path (one-shot solves, sessions, the serve daemon).  The property
+    is a thunk over the encoding so the same query can be replayed
+    against any session's encoding. *)
 module Query : sig
   type t = {
     label : string;
@@ -35,13 +35,14 @@ module Query : sig
 end
 
 (** The uniform answer to a {!Query}: one verdict, its wall time, the
-    solver work it cost, and which worker produced it. *)
+    solver work it cost, and which path produced it. *)
 module Report : sig
   type verdict =
     | Verified  (** the property holds in every stable state *)
     | Violated of Counterexample.t
     | Timeout  (** the query's wall-clock budget expired *)
-    | Error of string  (** a racer crashed or the query raised *)
+    | Error of string
+        (** no answer: the query raised, or the fault graph path declined *)
 
   (** Independent evidence for a verdict, produced when the encoding
       was built with [Options.certify].  [Checked_unsat_proof]: the
@@ -52,8 +53,7 @@ module Report : sig
       re-justified theory lemmas.  [Checked_model]: the satisfying
       assignment was re-evaluated over the original asserted terms and
       the decoded counterexample was replayed through the concrete
-      routing simulator.  Certificates are plain data and survive
-      marshalling across the {!Engine} racer boundary. *)
+      routing simulator. *)
   type certificate =
     | Uncertified
     | Checked_unsat_proof of { trace_steps : int; clauses : int; lemmas : int }
@@ -75,8 +75,6 @@ module Report : sig
     stats : Smt.Solver.stats;
         (** per-query solver work: absolute for a fresh solver, a delta
             over the enclosing session otherwise *)
-    worker : int;  (** 0 when answered in-process; portfolio racers count from 1 *)
-    strategy : string option;  (** winning variant, in portfolio mode *)
     support : string list option;
         (** [Verified] verdicts from a support-tracking session: the
             devices whose assumption guards appear in the final-conflict
@@ -116,9 +114,8 @@ module Report : sig
 
   val v : string -> verdict -> t
   (** [v label verdict]: a report no solver produced — [Uncertified],
-      zero wall time, {!empty_stats}, worker 0, no strategy, support or
-      method.  Crashed racers, watchdog timeouts and the fault graph
-      path build theirs with [{ (v label verdict) with ... }]. *)
+      zero wall time, {!empty_stats}, no support or method.  The fault
+      graph path builds its reports with [{ (v label verdict) with ... }]. *)
 
   val decisions_per_conflict : Smt.Solver.stats -> float
   (** Decisions per conflict ([0.] when no conflicts): how much of the
@@ -133,7 +130,7 @@ module Report : sig
 
   val exit_code : t list -> int
   (** Uniform process exit code for a report suite: [0] every query
-      holds, [1] any violation, [3] any timeout/worker error, [4] any
+      holds, [1] any violation, [3] any timeout or error, [4] any
       certification failure ([2] is reserved for usage and parse
       errors).  Violations dominate timeouts; certification failures
       dominate everything. *)
@@ -170,10 +167,9 @@ module Session : sig
   val create : ?support:bool -> Config.Ast.network -> Options.t -> t
   (** Build the encoding and assert the network semantics once. *)
 
-  val of_encoding : ?strategy:Smt.Solver.strategy -> ?support:bool -> Encode.t -> t
-  (** Start a session over an already-built encoding.  [strategy]
-      overrides the encoding options' search strategy — the portfolio
-      engine uses this to race variants over one shared encoding.
+  val of_encoding : ?support:bool -> Encode.t -> t
+  (** Start a session over an already-built encoding; its solver
+      searches with the encoding options' [strategy].
 
       [support] (default [false]) turns on verdict-support tracking:
       each device's slice of the network assertions (see
@@ -233,12 +229,6 @@ module Session : sig
   (** Solver statistics accumulated over all queries of the session's
       solver, by every view of it. *)
 
-  val solver : t -> Smt.Solver.t
-  (** The session's underlying incremental solver, for clause-sharing
-      hooks ({!Smt.Solver.set_on_restart}, {!Smt.Solver.enable_sharing});
-      portfolio workers wire their exchange through it.  Asserting
-      through it directly would corrupt the session's bookkeeping. *)
-
   val last_support : t -> string list option
   (** Support of the most recent [Verified] check of a
       support-tracking session; [None] otherwise. *)
@@ -264,20 +254,6 @@ val fault_invariant :
     per-link failure variables; a [Violated] counterexample's
     [failures] field names the failed-link set).  [label] defaults to
     ["fault-invariant k=<k>"]; the report is stamped [method_ = Smt]. *)
-
-val fault_invariant_query :
-  ?timeout:float ->
-  ?label:string ->
-  Config.Ast.network ->
-  Options.t ->
-  k:int ->
-  sources:string list ->
-  Property.destination ->
-  Encode.t * Query.t
-(** The two-copy encoding and query behind {!fault_invariant}, exposed
-    so other paths (the {!Engine} portfolio, the {!Faults} hybrid) can
-    answer the same property on their own solvers: run the query
-    against the returned healthy-copy encoding. *)
 
 (** The versioned line-JSON protocol of the serve daemon
     ([minesweeper_cli serve], the {!Serve} library).

@@ -16,7 +16,6 @@
 module A = Config.Ast
 module Verify = Minesweeper.Verify
 module Report = Minesweeper.Verify.Report
-module Query = Minesweeper.Verify.Query
 module Property = Minesweeper.Property
 module Counterexample = Minesweeper.Counterexample
 module Topo = Net.Topology
@@ -440,33 +439,15 @@ let report ?label (net : A.network) ~k ~sources dest =
     in
     finish (Report.Violated cx)
 
-(* -- hybrid: race the two paths inside the portfolio ------------------------ *)
+(* -- hybrid: the graph path first, SMT when it declines ---------------------- *)
 
-(* One SMT racer unless the caller asks for more: a query the graph
-   path declines is then one plain solve plus a fork, where racing the
-   whole strategy portfolio on a 2-vCPU box made it 3-5x slower than
-   the solve alone. *)
-let hybrid ?timeout ?strategies ?share (net : A.network) opts ~k ~sources dest =
-  let strategies =
-    match strategies with
-    | Some s -> s
-    | None -> [ ("default", opts.Minesweeper.Options.strategy) ]
-  in
-  let enc, q = Verify.fault_invariant_query ?timeout net opts ~k ~sources dest in
-  let label = q.Query.label in
-  let graph () = report ~label net ~k ~sources dest in
-  let r =
-    Engine.portfolio ?timeout ~strategies ?share ~extra:[ ("graph", graph) ] enc q
-  in
-  match r.Report.method_ with
-  | Some Report.Graph -> r
-  | _ ->
-    (* an SMT racer answered: distinguish "graph lost the race" from
-       "graph declined" for the method stamp (the scan is cheap; the
-       simulator only runs when the scan passes, i.e. rarely here) *)
-    let m =
-      match analyze net ~k ~sources dest with
-      | Undecided _ -> Report.Fallback
-      | Invariant | Broken _ -> Report.Smt
-    in
-    { r with Report.method_ = Some m }
+(* The graph path costs a feature scan and at most two simulator runs,
+   so trying it first costs a declined query little next to the solve,
+   and a decided one never builds the two-copy encoding. *)
+let hybrid ?timeout (net : A.network) opts ~k ~sources dest =
+  let r = report net ~k ~sources dest in
+  match r.Report.verdict with
+  | Report.Verified | Report.Violated _ -> r
+  | Report.Timeout | Report.Error _ ->
+    let r = Verify.fault_invariant ?timeout net opts ~k ~sources dest in
+    { r with Report.method_ = Some Report.Fallback }

@@ -16,11 +16,11 @@
     cross-checked hop-for-hop against the {!Routing} simulator's
     converged forwarding.  Whenever any condition fails it returns
     {!answer.Undecided} and the caller falls back to the SMT encoding —
-    {!hybrid} races both paths inside {!Engine.portfolio} and stamps
-    the winning report's [method_] field ([Graph] / [Smt] /
-    [Fallback]).  Differential agreement between the two paths is the
-    correctness gate for the whole feature ([test/test_faults.ml],
-    [make bench-fault-smoke]).
+    {!hybrid} tries the graph path first, runs the SMT encoding only
+    when it declines, and stamps the report's [method_] field
+    ([Graph] / [Fallback]).  Differential agreement between the two
+    paths is the correctness gate for the whole feature
+    ([test/test_faults.ml], [make bench-fault-smoke]).
 
     The feature-scan conditions and the soundness argument are spelled
     out in DESIGN.md ("Why the graph fast path is sound"). *)
@@ -104,26 +104,22 @@ val report :
     counterexample whose [failures] field is the cut set (packet
     addressed into the destination subnet, source address taken from
     the cut source's own subnets); [Undecided r] ⇒
-    [Error "graph-undecided: r"] — indecisive by construction, so it
-    can never win a portfolio race over a decisive SMT verdict.
+    [Error "graph-undecided: r"] — indecisive by construction, so a
+    caller can tell it from a verdict without consulting [analyze].
     [label] defaults to ["fault-invariant k=<k>"]. *)
 
 val hybrid :
   ?timeout:float ->
-  ?strategies:(string * Smt.Solver.strategy) list ->
-  ?share:bool ->
   Config.Ast.network ->
   Minesweeper.Options.t ->
   k:int ->
   sources:string list ->
   Minesweeper.Property.destination ->
   Report.t
-(** Race the graph fast path against the SMT two-copy encoding inside
-    {!Engine.portfolio}: one process per solver strategy (by default a
-    single racer, ["default"], with the strategy of [opts], which is
-    {!Minesweeper.Options.default}'s unless the caller changed it) plus
-    one [extra] racer running {!report}.  The first decisive answer wins; an undecided graph
-    racer simply never produces one.  The winner's [method_] is
-    [Graph] when the graph racer won, [Smt] when a solver racer beat a
-    decided graph path, and [Fallback] when the graph path could not
-    decide. *)
+(** The graph fast path first, the SMT two-copy encoding only when it
+    declines, both in this process.  A decisive {!report} is returned
+    as is ([method_ = Graph]); otherwise the answer is
+    {!Minesweeper.Verify.fault_invariant} under [opts] and [timeout],
+    stamped [method_ = Fallback].  The timeout bounds the SMT solve
+    through the solver's stop hook (verdict [Timeout]); the graph path
+    is not interrupted. *)

@@ -61,8 +61,6 @@ type stats = {
   ema_restarts : int;
   blocked_restarts : int;
   rephases : int;
-  clauses_imported : int;
-  clauses_exported : int;
   learned_clauses : int;
   theory_rounds : int;
   chrono_backtracks : int;
@@ -95,13 +93,6 @@ let create ?(incremental = false) ?(certify = false) ?strategy () =
   }
 
 let set_stop s f = Sat.set_stop (Cnf.sat s.cnf) f
-let set_on_restart s f = Sat.set_on_restart (Cnf.sat s.cnf) f
-
-let enable_sharing ?(max_lbd = 6) ?(max_len = 30) s =
-  Sat.set_share (Cnf.sat s.cnf) ~max_lbd ~max_len
-
-let drain_exported s = Sat.drain_exports (Cnf.sat s.cnf)
-let import_clause s lits = Sat.import_clause (Cnf.sat s.cnf) lits
 
 let assert_term s term =
   if s.certify then s.asserted <- term :: s.asserted;
@@ -388,8 +379,6 @@ let stats s =
     ema_restarts = Sat.num_ema_restarts sat;
     blocked_restarts = Sat.num_blocked_restarts sat;
     rephases = Sat.num_rephases sat;
-    clauses_imported = Sat.num_imported sat;
-    clauses_exported = Sat.num_exported sat;
     learned_clauses = Sat.num_learnts sat;
     theory_rounds = s.theory_rounds;
     chrono_backtracks = Sat.num_chrono_backtracks sat;

@@ -37,9 +37,8 @@ type strategy = Sat.strategy = {
   restart_mode : restart_mode;  (** restart scheduling policy *)
   rephase : bool;  (** CaDiCaL-style periodic phase rescheduling *)
 }
-(** SAT search strategy.  Every strategy is sound and complete; racing
-    variants against each other (a portfolio) exploits their very
-    different search orders on hard queries. *)
+(** SAT search strategy.  Every strategy is sound and complete; only
+    the order of the search, and so its cost, differs. *)
 
 val default_strategy : strategy
 
@@ -61,9 +60,6 @@ type stats = {
   blocked_restarts : int;
       (** adaptive restarts suppressed by trail-size blocking *)
   rephases : int;  (** phase-schedule resets (strategy [rephase]) *)
-  clauses_imported : int;
-      (** sibling-learnt clauses integrated via {!import_clause} *)
-  clauses_exported : int;  (** learnt clauses handed to {!drain_exported} *)
   learned_clauses : int;  (** learnt clauses created, incl. theory lemmas *)
   theory_rounds : int;
       (** number of theory conflicts raised (["theory_conflicts"] in the
@@ -112,31 +108,6 @@ val set_stop : t -> (unit -> bool) option -> unit
     check raises {!Canceled}.  Close the hook over a wall-clock
     deadline for timeouts, or over {!stats} for conflict/decision
     budgets.  [None] clears it. *)
-
-(** {2 Portfolio clause sharing}
-
-    Learnt-clause exchange between solvers over the {e same} CNF
-    (identical variable numbering — e.g. portfolio workers forked from
-    one parent).  All hooks operate on the underlying SAT core; see
-    {!Sat.set_share}, {!Sat.drain_exports}, {!Sat.import_clause}. *)
-
-val set_on_restart : t -> (unit -> unit) option -> unit
-(** Hook fired at every SAT restart, at decision level 0 with
-    propagation complete — the safe point for {!drain_exported} and
-    {!import_clause}. *)
-
-val enable_sharing : ?max_lbd:int -> ?max_len:int -> t -> unit
-(** Start exporting learnt clauses with LBD ≤ [max_lbd] (default 6)
-    and length ≤ [max_len] (default 30) to the export buffer. *)
-
-val drain_exported : t -> int array list
-(** Take the export buffer (oldest first), in SAT-literal form. *)
-
-val import_clause : t -> int array -> bool
-(** Integrate a sibling's learnt clause (SAT-literal form).  Under
-    [~certify:true] the clause is RUP-checked against this solver's
-    active set and logged; non-RUP imports are dropped (returns
-    [false]). *)
 
 val assert_term : t -> Term.t -> unit
 

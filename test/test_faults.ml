@@ -2,8 +2,8 @@
    fault-invariance (Faults): the eligibility scan, min-cut witness
    sizes, graph-vs-SMT verdict agreement on fat trees and enterprise
    networks, counterexample cut sets replayed through the concrete
-   simulator with those links removed, and method stamping through the
-   hybrid race. *)
+   simulator with those links removed, and method stamping and the
+   timeout of the hybrid (graph path first, SMT when it declines). *)
 
 module A = Config.Ast
 module MS = Minesweeper
@@ -189,7 +189,7 @@ let test_certified_fault_invariant () =
   check 0 "verified";
   check 1 "violated"
 
-(* -- hybrid race and method stamping ------------------------------------------- *)
+(* -- hybrid method stamping ------------------------------------------------------ *)
 
 (* The graph path alone decides the pods=2 fabric at k=1, with a cut of
    one link. *)
@@ -203,19 +203,26 @@ let test_graph_decides () =
     Alcotest.(check int) "a single failed link" 1 (List.length cx.MS.Counterexample.failures)
   | _ -> Alcotest.fail "expected a violation"
 
-(* Which racer answers first is up to the scheduler; the verdict is
-   not.  A decided graph path means the winner is stamped [graph] or
-   [smt], never [fallback]. *)
-let test_hybrid_matches_smt () =
+(* The hybrid tries the graph path first: when it decides, its report
+   is the answer, stamped [graph], and agrees with the SMT encoding. *)
+let test_hybrid_graph_first () =
   let net, _, dest = fattree 2 in
   let sources = devices net in
   let h = hybrid net ~k:1 ~sources dest in
   Alcotest.(check string) "hybrid vs smt" (verdict (smt net ~k:1 ~sources dest)) (verdict h);
-  Alcotest.(check bool) "a decided race" true (List.mem (meth h) [ "graph"; "smt" ])
+  Alcotest.(check string) "method" "graph" (meth h)
+
+(* A zero budget reaches the SMT fallback and cancels it at the
+   solver's first poll of its stop hook. *)
+let test_fallback_timeout () =
+  let net, dest = single_homed_enterprise () in
+  let h = F.hybrid ~timeout:0.0 net MS.Options.default ~k:1 ~sources:(devices net) dest in
+  Alcotest.(check string) "verdict" "timeout" (verdict h);
+  Alcotest.(check string) "method" "fallback" (meth h)
 
 let test_hybrid_pods6 () =
-  (* the fabric the SMT side cannot answer quickly: the race must come
-     back decided by the graph, on both sides of the threshold *)
+  (* the fabric the SMT side cannot answer quickly: the graph path
+     must decide it, on both sides of the threshold *)
   let net, _, dest = fattree 6 in
   let sources = devices net in
   let h2 = hybrid net ~k:2 ~sources dest in
@@ -255,8 +262,8 @@ let () =
       ( "hybrid",
         [
           Alcotest.test_case "graph path decides a one-link cut" `Quick test_graph_decides;
-          Alcotest.test_case "verdict matches SMT whichever racer wins" `Quick
-            test_hybrid_matches_smt;
+          Alcotest.test_case "graph first, verdict matches SMT" `Quick test_hybrid_graph_first;
+          Alcotest.test_case "fallback honours the timeout" `Quick test_fallback_timeout;
           Alcotest.test_case "pods=6 both thresholds" `Quick test_hybrid_pods6;
         ] );
     ]

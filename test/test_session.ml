@@ -2,7 +2,9 @@
    generated enterprise and fattree networks, Verify.Session.run
    must produce exactly the verdicts of independent fresh-solver
    Verify.run_query calls, and the counterexamples it decodes must be
-   well-formed forwarding states of the same encoding. *)
+   well-formed forwarding states of the same encoding.  A timed-out
+   query leaves the session usable, and every report renders as the
+   documented JSON with the documented exit codes. *)
 
 module MS = Minesweeper
 module G = Generators
@@ -198,6 +200,83 @@ let test_warm_reuse_survives_gc () =
       MS.Verify.Query.v "no-blackholes" (fun enc -> MS.Property.no_blackholes enc ~allowed ());
     ]
 
+(* -- timeouts --------------------------------------------------------------- *)
+
+let timeout_net () =
+  let t = G.Enterprise.make ~seed:3 ~routers:8 ~inject:G.Enterprise.no_bugs () in
+  t.G.Enterprise.network
+
+(* A zero budget times the first query out; the session stays usable
+   and the next query gets the verdict a fresh session gives it. *)
+let test_timeout () =
+  let enc = MS.Encode.build (timeout_net ()) MS.Options.default in
+  let loops = MS.Verify.Query.v "no-loops" (fun enc -> MS.Property.no_loops enc ()) in
+  let fresh =
+    MS.Verify.Session.run_one (MS.Verify.Session.of_encoding enc) loops
+  in
+  match
+    MS.Verify.Session.run (MS.Verify.Session.of_encoding enc)
+      [
+        MS.Verify.Query.v ~timeout:0.0 "doomed" (fun enc -> MS.Property.no_blackholes enc ());
+        loops;
+      ]
+  with
+  | [ doomed; normal ] ->
+    Alcotest.(check string) "doomed verdict" "timeout"
+      (MS.Verify.Report.verdict_name doomed.MS.Verify.Report.verdict);
+    Alcotest.(check string) "later query unaffected"
+      (MS.Verify.Report.verdict_name fresh.MS.Verify.Report.verdict)
+      (MS.Verify.Report.verdict_name normal.MS.Verify.Report.verdict)
+  | rs -> Alcotest.failf "expected 2 reports, got %d" (List.length rs)
+
+(* -- report surface -------------------------------------------------------- *)
+
+let contains j key =
+  match Str.search_forward (Str.regexp_string key) j 0 with
+  | _ -> true
+  | exception Not_found -> false
+
+let test_report_json () =
+  let enc = MS.Encode.build (timeout_net ()) MS.Options.default in
+  let reports =
+    MS.Verify.Session.run
+      (MS.Verify.Session.of_encoding enc)
+      [
+        MS.Verify.Query.v "no-loops" (fun enc -> MS.Property.no_loops enc ());
+        MS.Verify.Query.v "isolation \"quoted\"" (fun enc ->
+            MS.Property.isolation enc
+              ~sources:(MS.Encode.devices enc)
+              (MS.Property.Device (List.hd (MS.Encode.devices enc))));
+      ]
+  in
+  List.iter
+    (fun r ->
+      let j = MS.Verify.Report.to_json r in
+      List.iter
+        (fun key -> if not (contains j key) then Alcotest.failf "missing %s in %s" key j)
+        [ "\"label\""; "\"verdict\""; "\"wall_ms\""; "\"stats\""; "\"conflicts\"" ];
+      List.iter
+        (fun key -> if contains j key then Alcotest.failf "stray %s in %s" key j)
+        [ "\"worker\""; "\"strategy\""; "\"clauses_imported\""; "\"clauses_exported\"" ])
+    reports;
+  (* escaping: the quoted label must not break the object *)
+  (match reports with
+   | [ _; quoted ] ->
+     let j = MS.Verify.Report.to_json quoted in
+     if not (contains j "isolation \\\"quoted\\\"") then Alcotest.failf "label not escaped: %s" j
+   | _ -> Alcotest.fail "expected two reports");
+  let arr = MS.Verify.Report.list_to_json reports in
+  if String.length arr < 2 || arr.[0] <> '[' then Alcotest.failf "not an array: %s" arr
+
+let test_exit_codes () =
+  let mk label verdict = { (MS.Verify.Report.v label verdict) with MS.Verify.Report.wall_ms = 1.0 } in
+  let holds = mk "a" MS.Verify.Report.Verified in
+  Alcotest.(check int) "all hold" 0 (MS.Verify.Report.exit_code [ holds; holds ]);
+  Alcotest.(check int) "timeout" 3
+    (MS.Verify.Report.exit_code [ holds; mk "t" MS.Verify.Report.Timeout ]);
+  Alcotest.(check int) "error" 3 (MS.Verify.Report.exit_code [ mk "e" (MS.Verify.Report.Error "x") ]);
+  Alcotest.(check int) "empty" 0 (MS.Verify.Report.exit_code [])
+
 let () =
   Alcotest.run "session"
     [
@@ -212,4 +291,10 @@ let () =
       ("idempotence", [ Alcotest.test_case "repeat suite" `Quick test_session_idempotent ]);
       ( "lifetime",
         [ Alcotest.test_case "warm reuse survives a GC" `Quick test_warm_reuse_survives_gc ] );
+      ("timeouts", [ Alcotest.test_case "per-query timeout" `Quick test_timeout ]);
+      ( "reports",
+        [
+          Alcotest.test_case "json shape" `Quick test_report_json;
+          Alcotest.test_case "exit codes" `Quick test_exit_codes;
+        ] );
     ]

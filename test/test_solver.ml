@@ -1,12 +1,12 @@
 (* Differential coverage for the CDCL(T) solver's search machinery:
    the restart-mode x rephasing grid must give identical verdicts with
-   well-formed counterexamples on the enterprise and fattree suites; a
-   QCheck differential pits the portfolio's strategy variants against
-   the concrete routing simulator; a regression test pins down that
-   early-SAT detection leaves theory atoms open for the theory; the
-   clause-sharing tests check export and certified import; pinned
-   search counts guard the search itself; and the fleet's hardest
-   network is verified with certificates. *)
+   well-formed counterexamples on the enterprise and fattree suites, and
+   seven strategy variants the same verdicts on one session suite; a
+   QCheck differential pits those variants against the concrete routing
+   simulator; a regression test pins down that early-SAT detection
+   leaves theory atoms open for the theory; pinned search counts guard
+   the search itself; and the fleet's hardest network is verified with
+   certificates. *)
 
 module MS = Minesweeper
 
@@ -40,9 +40,25 @@ let check_cx_valid name enc (cx : MS.Counterexample.t) =
 
 (* -- QCheck: random nets, random strategy variant, simulator oracle -------- *)
 
+(* Seven search-strategy variants covering both restart modes, both
+   rephasing settings, a short restart base, a fast activity decay and
+   positive branching.  Every one is sound and complete. *)
+let strategy_variants : (string * Smt.Solver.strategy) list =
+  let d = Smt.Solver.default_strategy in
+  [
+    ("default", { d with Smt.Solver.restart_mode = Smt.Solver.Ema_lbd; rephase = true });
+    ("luby-restarts", d);
+    ("ema-restarts", { d with Smt.Solver.restart_mode = Smt.Solver.Ema_lbd });
+    ("luby-rephase", { d with Smt.Solver.rephase = true });
+    ("agile-restarts", { d with Smt.Solver.restart_base = 25 });
+    ( "focused-decay",
+      { d with Smt.Solver.var_decay = 0.85; restart_mode = Smt.Solver.Ema_lbd; rephase = true } );
+    ("positive-phase", { d with Smt.Solver.default_phase = true; rephase = true });
+  ]
+
 (* Random OSPF networks (a random tree plus an optional chord, random
    costs, one subnet per device, an optional ACL): subnet-to-subnet
-   reachability under a random portfolio strategy variant must coincide
+   reachability under a random strategy variant must coincide
    with the concrete simulator. *)
 let build_random_net seed =
   let rng = Random.State.make [| seed |] in
@@ -94,7 +110,7 @@ let prop_strategy_oracle =
     (fun seed ->
       let net, n = build_random_net seed in
       let sname, strategy =
-        List.nth MS.Options.portfolio (seed mod List.length MS.Options.portfolio)
+        List.nth strategy_variants (seed mod List.length strategy_variants)
       in
       let opts = MS.Options.with_strategy strategy MS.Options.default in
       let state = Routing.Simulator.run net Routing.Simulator.empty_env in
@@ -209,6 +225,40 @@ let test_fattree_strategy_grid () =
         fun enc -> MS.Property.isolation enc ~sources:[ List.hd other_tors ] dest );
     ]
 
+(* Every strategy variant gives the verdicts of the default strategy
+   on one session suite over a pods=2 fat tree. *)
+let test_strategy_variants_agree () =
+  let ft = G.Fattree.make ~pods:2 in
+  let net = ft.G.Fattree.network in
+  let dst_tor = List.hd ft.G.Fattree.tors in
+  let other_tors = List.filter (fun t -> t <> dst_tor) ft.G.Fattree.tors in
+  let dest = MS.Property.Subnet (dst_tor, ft.G.Fattree.tor_subnet dst_tor) in
+  let q = MS.Verify.Query.v in
+  let queries =
+    [
+      q "single-tor-reachability" (fun enc ->
+          MS.Property.reachability enc ~sources:[ List.hd other_tors ] dest);
+      q "all-tor-reachability" (fun enc -> MS.Property.reachability enc ~sources:other_tors dest);
+      q "bounded-length" (fun enc -> MS.Property.bounded_length enc ~sources:other_tors dest ~bound:4);
+      q "multipath-consistency" (fun enc -> MS.Property.multipath_consistency enc dest);
+      q "no-blackholes" (fun enc -> MS.Property.no_blackholes enc ~allowed:ft.G.Fattree.cores ());
+      q "isolation-should-fail" (fun enc ->
+          MS.Property.isolation enc ~sources:[ List.hd other_tors ] dest);
+    ]
+  in
+  let verdicts opts =
+    MS.Verify.Session.run (MS.Verify.Session.of_encoding (MS.Encode.build net opts)) queries
+    |> List.map (fun (r : MS.Verify.Report.t) ->
+           MS.Verify.Report.verdict_name r.MS.Verify.Report.verdict)
+  in
+  let baseline = verdicts MS.Options.default in
+  List.iter
+    (fun (name, strategy) ->
+      Alcotest.(check (list string))
+        ("strategy " ^ name) baseline
+        (verdicts (MS.Options.with_strategy strategy MS.Options.default)))
+    strategy_variants
+
 (* Pigeonhole: n+1 pigeons into n holes.  Unsatisfiable with an
    exponential resolution lower bound — the cheapest way to force
    thousands of conflicts (hence restarts, rephases and low-LBD learnt
@@ -243,56 +293,6 @@ let test_ema_rephase_engage () =
   if Smt.Sat.num_ema_restarts s = 0 then
     Alcotest.fail "Ema_lbd mode performed no EMA-triggered restart";
   if Smt.Sat.num_rephases s = 0 then Alcotest.fail "rephasing never fired"
-
-(* -- clause sharing: export, certified import ------------------------------ *)
-
-(* Exporter A and importer B solve the same CNF (identical variable
-   numbering).  A's exported low-LBD clauses import into B with proof
-   logging on; B's trace — inputs, P_rup imports, its own learnt
-   clauses — must then replay through the independent checker.  This is
-   the single-process version of the portfolio exchange, deterministic
-   enough for CI. *)
-let test_sharing_certified () =
-  let a = Smt.Sat.create () in
-  Smt.Sat.set_share a ~max_lbd:8 ~max_len:30;
-  add_pigeonhole a 7;
-  (match Smt.Sat.solve a with
-   | Smt.Sat.Unsat -> ()
-   | Smt.Sat.Sat -> Alcotest.fail "exporter: pigeonhole must be unsat");
-  let exported = Smt.Sat.drain_exports a in
-  if exported = [] then Alcotest.fail "exporter produced no shareable clauses";
-  Alcotest.(check int) "exported counter" (List.length exported) (Smt.Sat.num_exported a);
-  let b = Smt.Sat.create () in
-  Smt.Sat.enable_proof b;
-  add_pigeonhole b 7;
-  let accepted =
-    List.fold_left (fun k c -> if Smt.Sat.import_clause b c then k + 1 else k) 0 exported
-  in
-  if accepted = 0 then Alcotest.fail "no exported clause was RUP for the importer";
-  Alcotest.(check int) "imported counter" accepted (Smt.Sat.num_imported b);
-  (match Smt.Sat.solve b with
-   | Smt.Sat.Unsat -> ()
-   | Smt.Sat.Sat -> Alcotest.fail "importer: pigeonhole must be unsat");
-  match Proof.Checker.run ~goal:Proof.Checker.Empty (Smt.Sat.proof_steps b) with
-  | Ok summary ->
-    if summary.Proof.Checker.rup_checked < accepted then
-      Alcotest.failf "checker confirmed %d RUP steps, expected at least the %d imports"
-        summary.Proof.Checker.rup_checked accepted
-  | Error msg -> Alcotest.failf "importer trace rejected: %s" msg
-
-(* A clause that is NOT a consequence must be refused by the certified
-   import path (and accepted blindly with proof off — the caller owns
-   provenance there, exactly like [P_input]). *)
-let test_import_non_rup_dropped () =
-  let b = Smt.Sat.create () in
-  Smt.Sat.enable_proof b;
-  let x = Smt.Sat.new_var b in
-  let y = Smt.Sat.new_var b in
-  Smt.Sat.add_clause b [ Smt.Sat.pos_lit x; Smt.Sat.pos_lit y ];
-  (* [x] alone is not RUP: negating it propagates nothing contradictory *)
-  if Smt.Sat.import_clause b [| Smt.Sat.pos_lit x |] then
-    Alcotest.fail "non-RUP import accepted under proof logging";
-  Alcotest.(check int) "nothing imported" 0 (Smt.Sat.num_imported b)
 
 (* -- pinned search ------------------------------------------------------------ *)
 
@@ -416,11 +416,7 @@ let () =
             test_enterprise_strategy_grid;
           Alcotest.test_case "fattree restart x rephase" `Quick test_fattree_strategy_grid;
           Alcotest.test_case "ema + rephase engage" `Quick test_ema_rephase_engage;
-        ] );
-      ( "sharing",
-        [
-          Alcotest.test_case "certified import round-trip" `Quick test_sharing_certified;
-          Alcotest.test_case "non-RUP import dropped" `Quick test_import_non_rup_dropped;
+          Alcotest.test_case "strategy variants agree" `Quick test_strategy_variants_agree;
         ] );
       ("early-sat", [ Alcotest.test_case "theory atom stays open" `Quick test_early_sat_theory_atom ]);
       ( "pinned-search",
