@@ -220,6 +220,14 @@ let test_fallback_timeout () =
   Alcotest.(check string) "verdict" "timeout" (verdict h);
   Alcotest.(check string) "method" "fallback" (meth h)
 
+(* The timeout bounds only the SMT fallback: a query the graph path
+   decides is answered even on a zero budget. *)
+let test_graph_ignores_timeout () =
+  let net, _, dest = fattree 2 in
+  let h = F.hybrid ~timeout:0.0 net MS.Options.default ~k:1 ~sources:(devices net) dest in
+  Alcotest.(check string) "verdict" "violated" (verdict h);
+  Alcotest.(check string) "method" "graph" (meth h)
+
 let test_hybrid_pods6 () =
   (* the fabric the SMT side cannot answer quickly: the graph path
      must decide it, on both sides of the threshold *)
@@ -264,6 +272,7 @@ let () =
           Alcotest.test_case "graph path decides a one-link cut" `Quick test_graph_decides;
           Alcotest.test_case "graph first, verdict matches SMT" `Quick test_hybrid_graph_first;
           Alcotest.test_case "fallback honours the timeout" `Quick test_fallback_timeout;
+          Alcotest.test_case "graph path needs no budget" `Quick test_graph_ignores_timeout;
           Alcotest.test_case "pods=6 both thresholds" `Quick test_hybrid_pods6;
         ] );
     ]

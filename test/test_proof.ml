@@ -235,6 +235,16 @@ let test_certified_fattree_queries () =
     (fun q -> certified_or_fail "fattree" (MS.Verify.run_query enc q))
     (fattree_queries ft)
 
+(* The same suite on the pods=4 fabric, through one certified session:
+   every check's certificate replays against the trace the session has
+   accumulated over the queries before it. *)
+let test_certified_fattree_pods4_session () =
+  let ft = G.Fattree.make ~pods:4 in
+  let opts = MS.Options.with_certify MS.Options.default in
+  let session = MS.Verify.Session.create ft.G.Fattree.network opts in
+  List.iter (fun r -> certified_or_fail "fattree pods=4 session" r)
+    (MS.Verify.Session.run session (fattree_queries ft))
+
 let test_certified_enterprise_session () =
   let t = G.Enterprise.make ~seed:5 ~routers:6 ~inject:G.Enterprise.no_bugs () in
   let net = t.G.Enterprise.network in
@@ -336,6 +346,8 @@ let () =
       ( "full-stack",
         [
           Alcotest.test_case "fattree queries certified" `Quick test_certified_fattree_queries;
+          Alcotest.test_case "fattree pods=4 session certified" `Quick
+            test_certified_fattree_pods4_session;
           Alcotest.test_case "enterprise session certified" `Quick
             test_certified_enterprise_session;
           Alcotest.test_case "exit code 4" `Quick test_exit_code_4;

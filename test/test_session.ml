@@ -3,8 +3,9 @@
    must produce exactly the verdicts of independent fresh-solver
    Verify.run_query calls, and the counterexamples it decodes must be
    well-formed forwarding states of the same encoding.  A timed-out
-   query leaves the session usable, and every report renders as the
-   documented JSON with the documented exit codes. *)
+   query or a raising property leaves the session usable, and every
+   report renders as the documented JSON with the documented exit
+   codes. *)
 
 module MS = Minesweeper
 module G = Generators
@@ -137,6 +138,25 @@ let test_fattree () =
         fun enc -> MS.Property.isolation enc ~sources:[ List.hd other_tors ] dest );
     ]
 
+(* The pods=4 fabric: ten ToR sources, so the session carries more
+   instrumentation per query than the pods=2 suite. *)
+let test_fattree_pods4 () =
+  let ft = G.Fattree.make ~pods:4 in
+  let dst_tor = List.hd ft.G.Fattree.tors in
+  let other_tors = List.filter (fun t -> t <> dst_tor) ft.G.Fattree.tors in
+  let dest = MS.Property.Subnet (dst_tor, ft.G.Fattree.tor_subnet dst_tor) in
+  differential "fattree pods=4" ft.G.Fattree.network
+    [
+      ( "all-tor-reachability",
+        fun enc -> MS.Property.reachability enc ~sources:other_tors dest );
+      ( "bounded-length",
+        fun enc -> MS.Property.bounded_length enc ~sources:other_tors dest ~bound:4 );
+      ( "no-blackholes",
+        fun enc -> MS.Property.no_blackholes enc ~allowed:ft.G.Fattree.cores () );
+      ( "isolation-should-fail",
+        fun enc -> MS.Property.isolation enc ~sources:[ List.hd other_tors ] dest );
+    ]
+
 (* Re-running the same suite twice through one session must not change
    any verdict: the retired activation literals of earlier queries must
    leave no semantic trace. *)
@@ -229,6 +249,45 @@ let test_timeout () =
       (MS.Verify.Report.verdict_name normal.MS.Verify.Report.verdict)
   | rs -> Alcotest.failf "expected 2 reports, got %d" (List.length rs)
 
+(* The fresh-solver path honours the budget the same way, and a
+   timed-out query under --certify is uncertified, not a failed
+   certificate: it exits 3, not 4. *)
+let test_run_query_timeout () =
+  let opts = MS.Options.with_certify MS.Options.default in
+  let enc = MS.Encode.build (timeout_net ()) opts in
+  let r =
+    MS.Verify.run_query enc
+      (MS.Verify.Query.v ~timeout:0.0 "doomed" (fun enc -> MS.Property.no_blackholes enc ()))
+  in
+  Alcotest.(check string) "verdict" "timeout"
+    (MS.Verify.Report.verdict_name r.MS.Verify.Report.verdict);
+  Alcotest.(check string) "certificate" "uncertified"
+    (MS.Verify.Report.certificate_name r.MS.Verify.Report.certificate);
+  Alcotest.(check int) "exit code" 3 (MS.Verify.Report.exit_code [ r ])
+
+(* -- failing property thunks ----------------------------------------------- *)
+
+(* A property thunk that raises reaches the caller of [run_one] before
+   anything is asserted; the session keeps answering, with the verdict
+   a fresh session gives, even when the raising query set a zero
+   budget. *)
+let test_raising_property () =
+  let enc = MS.Encode.build (timeout_net ()) MS.Options.default in
+  let loops = MS.Verify.Query.v "no-loops" (fun enc -> MS.Property.no_loops enc ()) in
+  let fresh = MS.Verify.Session.run_one (MS.Verify.Session.of_encoding enc) loops in
+  let session = MS.Verify.Session.of_encoding enc in
+  (match
+     MS.Verify.Session.run_one session
+       (MS.Verify.Query.v ~timeout:0.0 "raises" (fun _ -> failwith "property builder failed"))
+   with
+   | _ -> Alcotest.fail "a raising property produced a report"
+   | exception Failure msg ->
+     Alcotest.(check string) "exception passed on" "property builder failed" msg);
+  let r = MS.Verify.Session.run_one session loops in
+  Alcotest.(check string) "next query unaffected"
+    (MS.Verify.Report.verdict_name fresh.MS.Verify.Report.verdict)
+    (MS.Verify.Report.verdict_name r.MS.Verify.Report.verdict)
+
 (* -- report surface -------------------------------------------------------- *)
 
 let contains j key =
@@ -277,6 +336,49 @@ let test_exit_codes () =
   Alcotest.(check int) "error" 3 (MS.Verify.Report.exit_code [ mk "e" (MS.Verify.Report.Error "x") ]);
   Alcotest.(check int) "empty" 0 (MS.Verify.Report.exit_code [])
 
+(* A violation dominates a timeout and a query error: it is the
+   stronger, actionable answer. *)
+let test_violation_dominates () =
+  let enc = MS.Encode.build (timeout_net ()) MS.Options.default in
+  let violated =
+    MS.Verify.Session.run_one
+      (MS.Verify.Session.of_encoding enc)
+      (MS.Verify.Query.v "isolation" (fun enc ->
+           MS.Property.isolation enc
+             ~sources:(MS.Encode.devices enc)
+             (MS.Property.Device (List.hd (MS.Encode.devices enc)))))
+  in
+  Alcotest.(check string) "isolation of a reachable device fails" "violated"
+    (MS.Verify.Report.verdict_name violated.MS.Verify.Report.verdict);
+  let mk label verdict = { (MS.Verify.Report.v label verdict) with MS.Verify.Report.wall_ms = 1.0 } in
+  let timeout = mk "t" MS.Verify.Report.Timeout and error = mk "e" (MS.Verify.Report.Error "x") in
+  Alcotest.(check int) "alone" 1 (MS.Verify.Report.exit_code [ violated ]);
+  Alcotest.(check int) "over a timeout" 1 (MS.Verify.Report.exit_code [ timeout; violated ]);
+  Alcotest.(check int) "over an error" 1 (MS.Verify.Report.exit_code [ violated; error ])
+
+(* Timeout and error reports carry no outcome, and an error's message
+   is escaped into the JSON. *)
+let test_unanswered_reports () =
+  let err = MS.Verify.Report.v "q" (MS.Verify.Report.Error "bad \"spec\"") in
+  let j = MS.Verify.Report.to_json err in
+  List.iter
+    (fun key -> if not (contains j key) then Alcotest.failf "missing %s in %s" key j)
+    [ "\"verdict\":\"error\""; "\"error\":\"bad \\\"spec\\\"\"" ];
+  List.iter
+    (fun (r : MS.Verify.Report.t) ->
+      match MS.Verify.Report.to_outcome r with
+      | _ ->
+        Alcotest.failf "%s report yielded an outcome"
+          (MS.Verify.Report.verdict_name r.MS.Verify.Report.verdict)
+      | exception Invalid_argument _ -> ())
+    [ err; MS.Verify.Report.v "t" MS.Verify.Report.Timeout ];
+  match
+    MS.Verify.Report.to_outcome
+      (MS.Verify.Report.v "h" (MS.Verify.Report.of_outcome MS.Verify.Holds))
+  with
+  | MS.Verify.Holds -> ()
+  | MS.Verify.Violation _ -> Alcotest.fail "holds did not round-trip"
+
 let () =
   Alcotest.run "session"
     [
@@ -287,14 +389,22 @@ let () =
           Alcotest.test_case "enterprise acl-gap" `Quick test_enterprise_acl_gap;
           Alcotest.test_case "enterprise deep-drop" `Quick test_enterprise_deep_drop;
           Alcotest.test_case "fattree pods=2" `Quick test_fattree;
+          Alcotest.test_case "fattree pods=4" `Quick test_fattree_pods4;
         ] );
       ("idempotence", [ Alcotest.test_case "repeat suite" `Quick test_session_idempotent ]);
       ( "lifetime",
         [ Alcotest.test_case "warm reuse survives a GC" `Quick test_warm_reuse_survives_gc ] );
-      ("timeouts", [ Alcotest.test_case "per-query timeout" `Quick test_timeout ]);
+      ( "timeouts",
+        [
+          Alcotest.test_case "per-query timeout" `Quick test_timeout;
+          Alcotest.test_case "fresh-solver timeout under certify" `Quick test_run_query_timeout;
+        ] );
+      ("failures", [ Alcotest.test_case "raising property" `Quick test_raising_property ]);
       ( "reports",
         [
           Alcotest.test_case "json shape" `Quick test_report_json;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
+          Alcotest.test_case "violation dominates" `Quick test_violation_dominates;
+          Alcotest.test_case "timeout and error reports" `Quick test_unanswered_reports;
         ] );
     ]

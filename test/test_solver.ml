@@ -1,7 +1,8 @@
 (* Differential coverage for the CDCL(T) solver's search machinery:
    the restart-mode x rephasing grid must give identical verdicts with
    well-formed counterexamples on the enterprise and fattree suites, and
-   seven strategy variants the same verdicts on one session suite; a
+   seven strategy variants the same verdicts on a fattree and an
+   enterprise session suite; a
    QCheck differential pits those variants against the concrete routing
    simulator; a regression test pins down that early-SAT detection
    leaves theory atoms open for the theory; pinned search counts guard
@@ -259,6 +260,43 @@ let test_strategy_variants_agree () =
         (verdicts (MS.Options.with_strategy strategy MS.Options.default)))
     strategy_variants
 
+(* The same on one enterprise session with an injected hijack, whose
+   suite mixes verified and violated verdicts. *)
+let test_strategy_variants_enterprise () =
+  let t =
+    G.Enterprise.make ~seed:5 ~routers:8
+      ~inject:{ G.Enterprise.hijack = true; acl_gap = false; deep_drop = false; single_homed = false }
+      ()
+  in
+  let net = t.G.Enterprise.network in
+  let devices = List.map (fun (d : A.device) -> d.A.dev_name) net.A.net_devices in
+  let target = List.hd (List.rev devices) in
+  let mgmt_dest = MS.Property.Subnet (target, t.G.Enterprise.mgmt_prefix target) in
+  let allowed = t.G.Enterprise.edge_routers @ t.G.Enterprise.rack_role in
+  let q = MS.Verify.Query.v in
+  let queries =
+    [
+      q "mgmt-reachability" (fun enc -> MS.Property.reachability enc ~sources:devices mgmt_dest);
+      q "no-blackholes" (fun enc -> MS.Property.no_blackholes enc ~allowed ());
+      q "no-loops" (fun enc -> MS.Property.no_loops enc ());
+      q "isolation" (fun enc -> MS.Property.isolation enc ~sources:devices mgmt_dest);
+    ]
+  in
+  let verdicts opts =
+    MS.Verify.Session.run (MS.Verify.Session.of_encoding (MS.Encode.build net opts)) queries
+    |> List.map (fun (r : MS.Verify.Report.t) ->
+           MS.Verify.Report.verdict_name r.MS.Verify.Report.verdict)
+  in
+  let baseline = verdicts MS.Options.default in
+  if not (List.mem "verified" baseline && List.mem "violated" baseline) then
+    Alcotest.failf "suite should mix verdicts, got [%s]" (String.concat "; " baseline);
+  List.iter
+    (fun (name, strategy) ->
+      Alcotest.(check (list string))
+        ("strategy " ^ name) baseline
+        (verdicts (MS.Options.with_strategy strategy MS.Options.default)))
+    strategy_variants
+
 (* Pigeonhole: n+1 pigeons into n holes.  Unsatisfiable with an
    exponential resolution lower bound — the cheapest way to force
    thousands of conflicts (hence restarts, rephases and low-LBD learnt
@@ -417,6 +455,8 @@ let () =
           Alcotest.test_case "fattree restart x rephase" `Quick test_fattree_strategy_grid;
           Alcotest.test_case "ema + rephase engage" `Quick test_ema_rephase_engage;
           Alcotest.test_case "strategy variants agree" `Quick test_strategy_variants_agree;
+          Alcotest.test_case "strategy variants agree on an enterprise" `Quick
+            test_strategy_variants_enterprise;
         ] );
       ("early-sat", [ Alcotest.test_case "theory atom stays open" `Quick test_early_sat_theory_atom ]);
       ( "pinned-search",
